@@ -317,6 +317,14 @@ let micro_tests ctx =
           ignore
             (Lrd_core.Solver.solve_detailed exp_model ~service_rate:1.25
                ~buffer:2.0));
+      mk "kernel/rng-float-1m"
+        (* The unboxed draw alone: a million uniforms into one unboxed
+           accumulator cell. *)
+        (let r = rng () and acc = [| 0.0 |] in
+         fun () ->
+           for _ = 1 to 1_000_000 do
+             acc.(0) <- acc.(0) +. Lrd_rng.Rng.float r
+           done);
       mk "kernel/ams-spectrum-n12" (fun () ->
           let sys =
             Lrd_baselines.Ams.create ~sources:12 ~on_rate:1.0 ~lambda:1.0
@@ -349,6 +357,44 @@ let micro_tests ctx =
           ignore
             (Lrd_core.Superpose.aggregate
                (Fig11_scale.population ~n:10_000)));
+    ]
+  in
+  (* The packet layer on the first 1000 slots of the video trace at
+     ext-packet's smallest packet size (about 3 x 10^5 packets): sorted
+     arrivals alone, then a precomputed copy of the same arrivals
+     through one four-buffer tail-drop state. *)
+  let packet_trace =
+    Lrd_trace.Trace.create
+      ~rates:(Array.sub mtv_trace.Lrd_trace.Trace.rates 0 1000)
+      ~slot:mtv_trace.Lrd_trace.Trace.slot
+  in
+  let packet_size = 0.001 in
+  let packet_slots =
+    let slots = ref [] in
+    Lrd_packet.Arrivals.poissonize (rng ()) packet_trace ~packet_size
+      (fun times n -> slots := Array.sub times 0 n :: !slots);
+    List.rev !slots
+  in
+  let packet_buffers =
+    Array.map (fun b -> b *. mtv_c) [| 0.005; 0.02; 0.1; 0.5 |]
+  in
+  let packet_tests =
+    [
+      mk "packet/poissonize-1k-slots"
+        (let r = rng () in
+         fun () ->
+           Lrd_packet.Arrivals.poissonize r packet_trace ~packet_size
+             (fun _ _ -> ()));
+      mk "packet/queue-multi-buffer" (fun () ->
+          let q =
+            Lrd_packet.Packet_queue.create ~service_rate:mtv_c
+              ~buffers:packet_buffers
+          in
+          List.iter
+            (fun times ->
+              Lrd_packet.Packet_queue.add q times (Array.length times)
+                ~size:packet_size)
+            packet_slots);
     ]
   in
   (* Whole-surface sweep pair: the fig12 grid solved cold cell by cell
@@ -406,7 +452,7 @@ let micro_tests ctx =
                ()));
     ]
   in
-  figure_tests @ kernel_tests
+  figure_tests @ kernel_tests @ packet_tests
   @ sweep_pair "fig12" sweep_model Data.mtv_utilization
   @ sweep_pair "fig13" sweep_bc_model Data.bc_utilization
 
@@ -805,11 +851,13 @@ let run_scaling ~json () =
 
 (* Write the Obs snapshot after the benchmarked work so the JSON
    reflects the whole run (bench emits a metrics snapshot alongside its
-   results when --metrics is given). *)
-let write_metrics file =
+   results when --metrics is given).  Each mode takes one snapshot at
+   its end and hands it to both [write_metrics] and the manifest
+   writer, so the two files agree. *)
+let write_metrics file snapshot =
   if file <> "" then begin
     let oc = open_out file in
-    output_string oc (Lrd_obs.Obs.to_json (Lrd_obs.Obs.snapshot ()));
+    output_string oc (Lrd_obs.Obs.to_json snapshot);
     close_out oc
   end
 
@@ -822,17 +870,13 @@ let write_trace file =
 
 (* Manifest for the micro/scaling modes, which have no experiment
    context: the bench flag set is the full parameter set.  The figures
-   mode instead routes through [Registry.run ?manifest], whose manifest
+   mode instead goes through [Registry.write_manifest], whose manifest
    carries the context's seed, solver parameters and sweep grids. *)
-let write_bench_manifest ~tool file =
+let write_bench_manifest ~tool file snapshot =
   if file <> "" then begin
     let metrics =
       if Lrd_obs.Obs.enabled () then
-        match
-          Lrd_obs.Json.parse (Lrd_obs.Obs.to_json (Lrd_obs.Obs.snapshot ()))
-        with
-        | Ok v -> Some v
-        | Error _ -> None
+        Result.to_option (Lrd_obs.Json.parse (Lrd_obs.Obs.to_json snapshot))
       else None
     in
     let parameters =
@@ -886,39 +930,52 @@ let () =
       | `Scaling ->
           let out f = mode_file ~multi "scaling" f in
           run_scaling ~json:(out !json_file) ();
-          write_metrics (out !metrics_file);
+          let snapshot = Lrd_obs.Obs.snapshot () in
+          write_metrics (out !metrics_file) snapshot;
           write_trace (out !trace_file);
           write_bench_manifest ~tool:"bench --scaling" (out !manifest_file)
+            snapshot
       | `Micro ->
           let out f = mode_file ~multi "micro" f in
           let regressions =
             run_micro ~json:(out !json_file) (Data.create ~quick:!quick ())
           in
-          write_metrics (out !metrics_file);
+          let snapshot = Lrd_obs.Obs.snapshot () in
+          write_metrics (out !metrics_file) snapshot;
           write_trace (out !trace_file);
-          write_bench_manifest ~tool:"bench --micro" (out !manifest_file);
+          write_bench_manifest ~tool:"bench --micro" (out !manifest_file)
+            snapshot;
           if regressions > 0 then exit_code := 3
       | `Figures ->
           let out f = mode_file ~multi "figures" f in
           let ctx = Data.create ~jobs:!jobs ~quick:!quick () in
-          Fun.protect
-            ~finally:(fun () -> Data.teardown ctx)
-            (fun () ->
-              let fmt = Format.std_formatter in
-              Format.fprintf fmt
-                "Reproduction of Grossglauser & Bolot, 'On the Relevance of \
-                 Long-Range Dependence in Network Traffic' (SIGCOMM '96)@.";
-              Format.fprintf fmt "mode: %s, jobs: %d@."
-                (if !quick then "quick (small traces, coarse grids)"
-                 else "full (paper-scale traces)")
-                (Data.jobs ctx);
-              let manifest =
-                match out !manifest_file with "" -> None | f -> Some f
+          let summary =
+            Fun.protect
+              ~finally:(fun () -> Data.teardown ctx)
+              (fun () ->
+                let fmt = Format.std_formatter in
+                Format.fprintf fmt
+                  "Reproduction of Grossglauser & Bolot, 'On the Relevance \
+                   of Long-Range Dependence in Network Traffic' (SIGCOMM \
+                   '96)@.";
+                Format.fprintf fmt "mode: %s, jobs: %d@."
+                  (if !quick then "quick (small traces, coarse grids)"
+                   else "full (paper-scale traces)")
+                  (Data.jobs ctx);
+                let only = if !only = [] then None else Some !only in
+                Registry.run ?only ctx fmt)
+          in
+          (* After teardown, like lrd experiment: one snapshot for the
+             metrics file and the manifest. *)
+          let snapshot = Lrd_obs.Obs.snapshot () in
+          write_metrics (out !metrics_file) snapshot;
+          write_trace (out !trace_file);
+          match out !manifest_file with
+          | "" -> ()
+          | file ->
+              let snapshot =
+                if Lrd_obs.Obs.enabled () then Some snapshot else None
               in
-              (match !only with
-              | [] -> Registry.run ?manifest ctx fmt
-              | ids -> Registry.run ~only:ids ?manifest ctx fmt);
-              write_metrics (out !metrics_file);
-              write_trace (out !trace_file)))
+              Registry.write_manifest ?snapshot file ctx summary)
     modes;
   if !exit_code <> 0 then exit !exit_code

@@ -118,7 +118,14 @@ let ticker_path ~metrics_out =
   | Some f -> Filename.remove_extension f ^ ".ticker.jsonl"
   | None -> "lrd-metrics.ticker.jsonl"
 
-let with_telemetry ?metrics_interval ?trace_out format out f =
+(* One snapshot per run.  After [f] has returned — and so after any
+   [Data.teardown] inside it, whose stopping pool records the workers'
+   last idle spans — and after the ticker's final tick, the snapshot is
+   taken once, handed to [!seal] (set by [f] to write the run manifest)
+   and rendered as the --metrics output, so the manifest and
+   --metrics-out describe the same moment. *)
+let with_telemetry ?metrics_interval ?trace_out ?(seal = ref ignore) format
+    out f =
   let wanted = format <> None || out <> None in
   if wanted || metrics_interval <> None then Lrd_obs.Obs.set_enabled true;
   if trace_out <> None then Lrd_obs.Obs.Trace.set_enabled true;
@@ -139,20 +146,24 @@ let with_telemetry ?metrics_interval ?trace_out format out f =
         if metrics_interval <> None then Lrd_obs.Export.stop_ticker ())
       f
   in
-  if wanted then begin
-    let snap = Lrd_obs.Obs.snapshot () in
-    let rendered =
-      match format with
-      | Some `Text -> Format.asprintf "%a" Lrd_obs.Obs.pp_text snap
-      | Some `Json | None -> Lrd_obs.Obs.to_json snap
-    in
-    match out with
-    | None -> print_string rendered
-    | Some file ->
-        let oc = open_out file in
-        output_string oc rendered;
-        close_out oc
-  end;
+  let snapshot =
+    if Lrd_obs.Obs.enabled () then Some (Lrd_obs.Obs.snapshot ()) else None
+  in
+  !seal snapshot;
+  (match (wanted, snapshot) with
+  | true, Some snap -> (
+      let rendered =
+        match format with
+        | Some `Text -> Format.asprintf "%a" Lrd_obs.Obs.pp_text snap
+        | Some `Json | None -> Lrd_obs.Obs.to_json snap
+      in
+      match out with
+      | None -> print_string rendered
+      | Some file ->
+          let oc = open_out file in
+          output_string oc rendered;
+          close_out oc)
+  | _ -> ());
   (match trace_out with
   | None -> ()
   | Some file ->
@@ -780,9 +791,11 @@ let run_shard_worker ~quick ~seed ~jobs ~superpose ~dir ~spec id =
   Fun.protect
     ~finally:(fun () -> E.Data.teardown ctx)
     (fun () ->
-      E.Registry.run ~only:[ id ]
-        ~results:(E.Shard.results_path ~dir spec)
-        ctx Format.std_formatter);
+      ignore
+        (E.Registry.run ~only:[ id ]
+           ~results:(E.Shard.results_path ~dir spec)
+           ctx Format.std_formatter
+          : E.Registry.summary));
   let digest = E.Shard.digest ~figure:id (E.Data.manifest_fields ctx) in
   E.Shard.write_cells sh ~dir ~figure:id ~digest;
   let snapshot = Lrd_obs.Obs.to_json (Lrd_obs.Obs.snapshot ()) in
@@ -800,10 +813,19 @@ let run_shard_worker ~quick ~seed ~jobs ~superpose ~dir ~spec id =
        ~extra:(E.Shard.shard_section sh ~figure:id ~digest)
        ?metrics ~tool:"lrd experiment --shard" ())
 
+(* The seal of a finished registry run (see [with_telemetry]):
+   writes the requested manifest from the run's one snapshot. *)
+let manifest_seal manifest ctx summary snapshot =
+  Option.iter
+    (fun path ->
+      Lrd_experiments.Registry.write_manifest ?snapshot path ctx summary)
+    manifest
+
 (* Merge: validate + load the shard set, replay the figure against the
    merged store (byte-identical output, no solver work), and sum the
    shard counters into merged.metrics.json.  Exit 2 on any malformed or
-   mismatched input, like `lrd metrics diff`. *)
+   mismatched input, like `lrd metrics diff`.  Returns the per-shard
+   records and the run's manifest seal. *)
 let run_shard_merge ~quick ~seed ~jobs ~superpose ~manifest ~digest ~dir id =
   let module E = Lrd_experiments in
   match E.Shard.load ~dir ~figure:id ~digest with
@@ -812,23 +834,25 @@ let run_shard_merge ~quick ~seed ~jobs ~superpose ~manifest ~digest ~dir id =
       exit 2
   | Ok (replay, per_shard) ->
       let ctx = E.Data.create ~seed ~jobs ~superpose ~shard:replay ~quick () in
-      Fun.protect
-        ~finally:(fun () -> E.Data.teardown ctx)
-        (fun () ->
-          E.Registry.run ~only:[ id ] ?manifest
-            ~results:(E.Shard.merged_results_path ~dir)
-            ctx Format.std_formatter);
+      let summary =
+        Fun.protect
+          ~finally:(fun () -> E.Data.teardown ctx)
+          (fun () ->
+            E.Registry.run ~only:[ id ]
+              ~results:(E.Shard.merged_results_path ~dir)
+              ctx Format.std_formatter)
+      in
       (match E.Shard.write_merged_metrics ~dir per_shard with
       | Ok () -> ()
       | Error msg ->
           prerr_endline ("lrd experiment --merge: " ^ msg);
           exit 2);
-      per_shard
+      (per_shard, manifest_seal manifest ctx summary)
 
 (* Driver: self-exec one worker per shard, wait (with bounded
    restart-on-failure), then merge.  --resume skips shards whose
    checkpoint manifest still matches.  Exit 1 when a shard fails for
-   good. *)
+   good.  Returns the merge's manifest seal. *)
 let run_shard_driver ?heartbeat ~quick ~seed ~jobs ~superpose ~manifest ~dir
     ~count ~resume ~retries id =
   let module E = Lrd_experiments in
@@ -858,11 +882,12 @@ let run_shard_driver ?heartbeat ~quick ~seed ~jobs ~superpose ~manifest ~dir
       prerr_endline ("lrd experiment --shards: " ^ msg);
       exit 1
   | Ok skipped ->
-      let per_shard =
+      let per_shard, seal =
         run_shard_merge ~quick ~seed ~jobs ~superpose ~manifest ~digest ~dir
           id
       in
-      E.Shard.record_counters ~per_shard ~skipped
+      E.Shard.record_counters ~per_shard ~skipped;
+      seal
 
 let experiment_cmd =
   let ids_arg =
@@ -1031,7 +1056,10 @@ let experiment_cmd =
   let run quick seed jobs gap_policy iteration_budget superpose metrics
       metrics_out metrics_interval trace_out manifest shard shards merge out
       resume retries results_out ids =
-    with_telemetry ?metrics_interval ?trace_out metrics metrics_out
+    (* Set by the branch that runs the registry: the manifest is sealed
+       from the run's one snapshot, after teardown. *)
+    let seal = ref ignore in
+    with_telemetry ?metrics_interval ?trace_out ~seal metrics metrics_out
     @@ fun () ->
     match parse_gap_policy gap_policy iteration_budget with
     | Error msg -> `Error (false, msg)
@@ -1079,17 +1107,19 @@ let experiment_cmd =
                       if count < 1 then
                         `Error (false, "--shards needs a positive count")
                       else begin
-                        run_shard_driver ?heartbeat:metrics_interval ~quick
-                          ~seed ~jobs ~superpose ~manifest ~dir:out ~count
-                          ~resume ~retries id;
+                        seal :=
+                          run_shard_driver ?heartbeat:metrics_interval ~quick
+                            ~seed ~jobs ~superpose ~manifest ~dir:out ~count
+                            ~resume ~retries id;
                         `Ok ()
                       end
                   | None, None, Some dir ->
                       let digest = shard_digest ~quick ~seed ~superpose id in
-                      let _ : (Lrd_experiments.Shard.spec * int) list =
+                      let _, merge_seal =
                         run_shard_merge ~quick ~seed ~jobs ~superpose
                           ~manifest ~digest ~dir id
                       in
+                      seal := merge_seal;
                       `Ok ()
                   | _ -> assert false))
           | _ ->
@@ -1119,14 +1149,14 @@ let experiment_cmd =
                             e.Lrd_experiments.Registry.title)
                         Lrd_experiments.Registry.all;
                       `Ok ()
-                  | [] ->
-                      Lrd_experiments.Registry.run ?manifest
-                        ?results:results_out ctx Format.std_formatter;
-                      `Ok ()
                   | ids -> (
+                      let only = if ids = [] then None else Some ids in
                       try
-                        Lrd_experiments.Registry.run ~only:ids ?manifest
-                          ?results:results_out ctx Format.std_formatter;
+                        let summary =
+                          Lrd_experiments.Registry.run ?only
+                            ?results:results_out ctx Format.std_formatter
+                        in
+                        seal := manifest_seal manifest ctx summary;
                         `Ok ()
                       with Invalid_argument msg -> `Error (false, msg))))
   in

@@ -5,7 +5,12 @@
    simulator runs the same trace.  As the buffer-to-packet ratio grows
    the packet loss converges to the fluid loss; at small buffers the
    packet granularity and Poisson jitter add loss the fluid model
-   cannot see. *)
+   cannot see.
+
+   Each packet size is poissonized once, from its own stream
+   [split_indexed base ~index:j], and that one arrival stream drives
+   every buffer; the sizes run as independent tasks on the context's
+   pool, so the table is identical at any parallelism. *)
 
 let id = "ext-packet"
 let title = "Extension: fluid abstraction vs packet-level simulation"
@@ -14,39 +19,53 @@ let run ctx fmt =
   let trace = Data.mtv ctx in
   let utilization = Data.mtv_utilization in
   let c = Lrd_trace.Trace.service_rate_for_utilization trace ~utilization in
-  let rng = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 81L) in
+  let base = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 81L) in
   Table.heading fmt title;
   Format.fprintf fmt
     "video trace at utilization %.2g; rates in Mb/s, so packet sizes are \
      in Mb (0.004 Mb ~ 500-byte packets, 0.012 Mb ~ 1500 bytes)@."
     utilization;
-  let buffers = if Data.quick ctx then [ 0.01; 0.1 ] else [ 0.005; 0.02; 0.1; 0.5 ] in
-  let packet_sizes = [ 0.012; 0.004; 0.001 ] in
+  let buffers =
+    if Data.quick ctx then [| 0.01; 0.1 |] else [| 0.005; 0.02; 0.1; 0.5 |]
+  in
+  let packet_sizes = [| 0.012; 0.004; 0.001 |] in
+  let buffer_bits = Array.map (fun b -> b *. c) buffers in
+  (* losses.(j).(b): packet size j, buffer b. *)
+  let losses =
+    Sweep.map ?pool:(Data.pool ctx)
+      (fun j ->
+        let packet_size = packet_sizes.(j) in
+        let queue =
+          Lrd_packet.Packet_queue.create ~service_rate:c ~buffers:buffer_bits
+        in
+        Lrd_packet.Arrivals.poissonize
+          (Lrd_rng.Rng.split_indexed base ~index:j)
+          trace ~packet_size
+          (fun times n ->
+            Lrd_packet.Packet_queue.add queue times n ~size:packet_size);
+        Array.map Lrd_packet.Packet_queue.loss_rate
+          (Lrd_packet.Packet_queue.stats queue))
+      (Array.init (Array.length packet_sizes) Fun.id)
+  in
   Format.fprintf fmt "%10s %12s" "buffer_s" "fluid";
-  List.iter
+  Array.iter
     (fun ps -> Format.fprintf fmt " %12s" (Printf.sprintf "pkt %g" ps))
     packet_sizes;
   Format.fprintf fmt "  (loss rate per packet size)@.";
-  List.iter
-    (fun buffer_seconds ->
-      let buffer = buffer_seconds *. c in
+  Array.iteri
+    (fun b buffer_seconds ->
       let fluid =
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer ()
+          Lrd_fluidsim.Queue_sim.make ~service_rate:c
+            ~buffer:buffer_bits.(b) ()
         in
         Lrd_fluidsim.Queue_sim.loss_rate
           (Lrd_fluidsim.Queue_sim.run_trace sim trace)
       in
       Format.fprintf fmt "%10g %12s" buffer_seconds (Table.cell_value fluid);
-      List.iter
-        (fun packet_size ->
-          let stats =
-            Lrd_packet.Packet_queue.run ~service_rate:c ~buffer
-              (Lrd_packet.Arrivals.poissonize rng trace ~packet_size)
-          in
-          Format.fprintf fmt " %12s"
-            (Table.cell_value (Lrd_packet.Packet_queue.loss_rate stats)))
-        packet_sizes;
+      Array.iter
+        (fun row -> Format.fprintf fmt " %12s" (Table.cell_value row.(b)))
+        losses;
       Format.fprintf fmt "@.")
     buffers;
   Format.fprintf fmt

@@ -63,7 +63,9 @@ module Obs = Lrd_obs.Obs
 let m_runs = Obs.Counter.make "experiment/runs"
 let m_wall = Obs.Span.make "experiment/wall_seconds"
 
-let run ?only ?manifest ?results ctx fmt =
+type summary = { figures : string list; wall_seconds : float }
+
+let run ?only ?results ctx fmt =
   let selected =
     match only with
     | None -> all
@@ -117,22 +119,20 @@ let run ?only ?manifest ?results ctx fmt =
       Buffer.output_buffer oc rb;
       close_out oc
   | _ -> ());
-  match manifest with
-  | None -> ()
-  | Some path ->
-      let metrics =
-        if Lrd_obs.Obs.enabled () then
-          (* Re-parse the canonical exporter's output rather than
-             rebuilding the tree here, so the embedded snapshot is
-             byte-equivalent to what --metrics-out writes. *)
-          match Lrd_obs.Json.parse (Lrd_obs.Obs.to_json (Obs.snapshot ())) with
-          | Ok v -> Some v
-          | Error _ -> None
-        else None
-      in
-      Lrd_obs.Manifest.write path
-        (Lrd_obs.Manifest.make
-           ~figures:(List.map (fun e -> e.id) selected)
-           ~parameters:(Data.manifest_fields ctx)
-           ~wall_seconds:(Unix.gettimeofday () -. run_t0)
-           ?metrics ~tool:"lrd experiment" ())
+  {
+    figures = List.map (fun e -> e.id) selected;
+    wall_seconds = Unix.gettimeofday () -. run_t0;
+  }
+
+let write_manifest ?snapshot path ctx summary =
+  (* Re-parse the canonical exporter's output rather than rebuilding the
+     tree here, so the embedded snapshot is byte-equivalent to what
+     --metrics-out writes from the same snapshot. *)
+  let metrics =
+    Option.bind snapshot (fun snap ->
+        Result.to_option (Lrd_obs.Json.parse (Obs.to_json snap)))
+  in
+  Lrd_obs.Manifest.write path
+    (Lrd_obs.Manifest.make ~figures:summary.figures
+       ~parameters:(Data.manifest_fields ctx)
+       ~wall_seconds:summary.wall_seconds ?metrics ~tool:"lrd experiment" ())

@@ -28,23 +28,33 @@ val all : entry list
 
 val find : string -> entry option
 
+type summary = {
+  figures : string list;  (** The ids run, in registry order. *)
+  wall_seconds : float;  (** Wall time of the whole run. *)
+}
+
 val run :
   ?only:string list ->
-  ?manifest:string ->
   ?results:string ->
   Data.t ->
   Format.formatter ->
-  unit
+  summary
 (** Runs the selected entries (all by default) in registry order,
     printing each.  Unknown ids in [only] raise [Invalid_argument].
-
-    [?manifest] writes a run provenance manifest ({!Lrd_obs.Manifest})
-    to the given path after the run: the selected figure ids, the
-    context's full parameter set ({!Data.manifest_fields}), wall time,
-    and — when telemetry is enabled — the final metrics snapshot.
 
     [?results] additionally tees each figure's pure output to the given
     file, {e excluding} the per-figure ["[... completed in N s CPU]"]
     wall-time line — so two runs with the same parameters produce
     byte-identical results files, which is how the shard-equivalence
     gate compares a merged shard set against the whole run. *)
+
+val write_manifest :
+  ?snapshot:Lrd_obs.Obs.snapshot -> string -> Data.t -> summary -> unit
+(** [write_manifest ?snapshot path ctx summary] seals a run provenance
+    manifest ({!Lrd_obs.Manifest}) at [path]: the figure ids run, the
+    context's full parameter set ({!Data.manifest_fields}), the wall
+    time, and [snapshot] as the embedded metrics.  A run takes one
+    snapshot, after {!Data.teardown} (stopping the pool records the
+    workers' last idle spans), and hands the same snapshot to this
+    function and to its [--metrics-out] file, so the two agree
+    exactly. *)

@@ -8,7 +8,13 @@
     motivates with.  Event-driven and exact between arrivals.
 
     The waiting time recorded for an accepted packet is the backlog in
-    front of it divided by the service rate (FIFO). *)
+    front of it divided by the service rate (FIFO).
+
+    One state serves several buffer sizes at once: each slot of sorted
+    arrival times (see {!Arrivals}) is offered to every buffer, which
+    keeps its own backlog and counts.  Each buffer's result is bitwise
+    the result of a state holding that buffer alone, so one packetized
+    arrival stream drives a whole buffer axis. *)
 
 type stats = {
   offered_packets : int;
@@ -28,11 +34,24 @@ val packet_loss_rate : stats -> float
 (** Dropped packets / offered packets (equal to {!loss_rate} for fixed
     packet sizes). *)
 
-val run :
-  service_rate:float ->
-  buffer:float ->
-  Arrivals.packet Seq.t ->
-  stats
-(** Feeds the (time-ordered) packets through the queue.
-    @raise Invalid_argument on nonpositive service rate, negative
-    buffer, or arrivals that go back in time. *)
+type t
+(** Mutable tail-drop state for a set of buffers fed the same arrivals. *)
+
+val create : service_rate:float -> buffers:float array -> t
+(** An empty system (zero backlog, clock at 0) with one queue per entry
+    of [buffers] (bits), all drained at [service_rate].
+    @raise Invalid_argument on a nonpositive service rate or a negative
+    buffer. *)
+
+val add : t -> float array -> int -> size:float -> unit
+(** [add t times n ~size] offers the packets arriving at
+    [times.(0 .. n - 1)], each of [size] bits, to every buffer.  Times
+    must be nondecreasing within the call and across calls (up to 1e-9
+    s of slack).  Allocates nothing per packet: per-slot sums are kept
+    in locals and enter the compensated accumulators once per call.
+    @raise Invalid_argument if [n] is outside [0 .. Array.length times]
+    or the arrivals go back in time. *)
+
+val stats : t -> stats array
+(** Statistics so far, one per buffer, in the order given to
+    {!create}. *)

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256** state: the four 64-bit words s0..s3 at byte offsets 0,
+   8, 16 and 24 of a 32-byte buffer, native byte order.  Unlike mutable
+   int64 record fields, the words are stored unboxed, so a draw updates
+   the state in place without allocating. *)
+type t = Bytes.t
 
 (* SplitMix64: used only to expand the seed into the xoshiro state. *)
 let splitmix64 state =
@@ -9,6 +13,16 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let word t i = Bytes.get_int64_ne t (8 * i)
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 s2;
+  Bytes.set_int64_ne t 24 s3;
+  t
+
 let create ~seed =
   let state = ref seed in
   let s0 = splitmix64 state in
@@ -17,26 +31,25 @@ let create ~seed =
   let s3 = splitmix64 state in
   (* xoshiro must not start from the all-zero state. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
-  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+(* The xoshiro256** step lives in rng_stubs.c.  An OCaml function that
+   returns an int64 or a float boxes its result at every call from
+   another module (no flambda, and dev builds compile with -opaque), so
+   the draws are unboxed noalloc externals instead. *)
+external uint64 : t -> (int64[@unboxed])
+  = "lrd_rng_uint64_byte" "lrd_rng_uint64"
+[@@noalloc]
 
-(* xoshiro256** next step. *)
-let uint64 t =
-  let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+external float : t -> (float[@unboxed]) = "lrd_rng_float_byte" "lrd_rng_float"
+[@@noalloc]
+
+external float_pos : t -> (float[@unboxed])
+  = "lrd_rng_float_pos_byte" "lrd_rng_float_pos"
+[@@noalloc]
 
 let split t = create ~seed:(uint64 t)
 
@@ -49,22 +62,13 @@ let split t = create ~seed:(uint64 t)
    scheduling-independent results. *)
 let split_indexed t ~index =
   if index < 0 then invalid_arg "Rng.split_indexed: index must be nonnegative";
-  let state = ref t.s0 in
+  let state = ref (word t 0) in
   let absorb x = state := Int64.logxor (splitmix64 state) x in
-  absorb t.s1;
-  absorb t.s2;
-  absorb t.s3;
+  absorb (word t 1);
+  absorb (word t 2);
+  absorb (word t 3);
   absorb (Int64.of_int index);
   create ~seed:(splitmix64 state)
-
-let float t =
-  (* Top 53 bits scaled to [0, 1). *)
-  let bits = Int64.shift_right_logical (uint64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
-
-let rec float_pos t =
-  let x = float t in
-  if x > 0.0 then x else float_pos t
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

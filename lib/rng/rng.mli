@@ -6,7 +6,8 @@
     xoshiro256**, seeded through SplitMix64 as its authors recommend. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: four unboxed 64-bit words, updated in place
+    by every draw. *)
 
 val create : seed:int64 -> t
 (** Fresh generator deterministically derived from [seed]. *)
@@ -30,13 +31,22 @@ val split_indexed : t -> index:int -> t
 val copy : t -> t
 (** Snapshot of the current state. *)
 
-val uint64 : t -> int64
+(** The draws are unboxed [noalloc] externals: a call from any module
+    passes the state and receives the result in registers, so drawing
+    never touches the minor heap. *)
+
+external uint64 : t -> (int64[@unboxed])
+  = "lrd_rng_uint64_byte" "lrd_rng_uint64"
+[@@noalloc]
 (** Next raw 64-bit output. *)
 
-val float : t -> float
+external float : t -> (float[@unboxed]) = "lrd_rng_float_byte" "lrd_rng_float"
+[@@noalloc]
 (** Uniform on \[0, 1): 53-bit mantissa resolution. *)
 
-val float_pos : t -> float
+external float_pos : t -> (float[@unboxed])
+  = "lrd_rng_float_pos_byte" "lrd_rng_float_pos"
+[@@noalloc]
 (** Uniform on (0, 1): never returns 0, safe for [log]. *)
 
 val int : t -> bound:int -> int

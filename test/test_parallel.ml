@@ -193,6 +193,18 @@ let test_fig7_deterministic_across_pools () =
   in
   Alcotest.(check string) "fig7 at jobs=2" (table ~jobs:1) (table ~jobs:2)
 
+let test_ext_packet_deterministic_across_pools () =
+  (* ext-packet runs its packet sizes as pool tasks, each on its own
+     split_indexed stream. *)
+  let table ~jobs =
+    let ctx = Lrd_experiments.Data.create ~jobs ~quick:true () in
+    Fun.protect
+      ~finally:(fun () -> Lrd_experiments.Data.teardown ctx)
+      (fun () -> render (Lrd_experiments.Ext_packet.run ctx))
+  in
+  Alcotest.(check string) "ext-packet at jobs=2" (table ~jobs:1)
+    (table ~jobs:2)
+
 (* ------------------------------------------------------------------ *)
 (* Workload cache: exactly one model + one workload entry per distinct
    key, every other lookup a hit, and cached solves bitwise-equal to
@@ -334,6 +346,8 @@ let () =
             test_fig4_deterministic_across_pools;
           Alcotest.test_case "fig7 across pool sizes" `Slow
             test_fig7_deterministic_across_pools;
+          Alcotest.test_case "ext-packet across pool sizes" `Slow
+            test_ext_packet_deterministic_across_pools;
         ] );
       ( "cache",
         [

@@ -79,6 +79,115 @@ let test_int_rejects_bad_bound () =
       ignore (Rng.int rng ~bound:0))
 
 (* ------------------------------------------------------------------ *)
+(* Known answers: literal outputs pinned for fixed seeds, so any change
+   to the state representation must reproduce the stream bit for bit. *)
+
+let check_uint64s msg r expected =
+  List.iteri
+    (fun i e ->
+      let x = Rng.uint64 r in
+      if x <> e then
+        Alcotest.failf "%s draw %d: expected 0x%016Lx, got 0x%016Lx" msg i e
+          x)
+    expected
+
+let test_kat_uint64 () =
+  List.iter
+    (fun (seed, expected) ->
+      check_uint64s (Printf.sprintf "seed %Ld" seed) (Rng.create ~seed)
+        expected)
+    [
+      ( 0L,
+        [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+          0x6aa594f1262d2d2cL ] );
+      ( 42L,
+        [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+          0xecb8ad4703b360a1L ] );
+      ( -1L,
+        [ 0x8f5520d52a7ead08L; 0xc476a018caa1802dL; 0x81de31c0d260469eL;
+          0xbf658d7e065f3c2fL ] );
+      ( 20260705L,
+        [ 0xdf28fdb8ee36209aL; 0x95a9c1c36e993fb5L; 0x8895da57e910543cL;
+          0x53a75a13f3dde616L ] );
+    ]
+
+let test_kat_derived () =
+  (* One stream from seed 42 through every derived draw, in order. *)
+  let r = Rng.create ~seed:42L in
+  let floats = List.init 4 (fun _ -> Rng.float r) in
+  Alcotest.(check (list (float 0.0))) "float"
+    [
+      0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1;
+    ]
+    floats;
+  let pos = List.init 2 (fun _ -> Rng.float_pos r) in
+  Alcotest.(check (list (float 0.0))) "float_pos"
+    [ 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1 ] pos;
+  Alcotest.(check (list int)) "int 10" [ 7; 3; 9; 2; 4; 6 ]
+    (List.init 6 (fun _ -> Rng.int r ~bound:10));
+  Alcotest.(check (list int)) "int 1e9" [ 668446555; 40623521; 910812646 ]
+    (List.init 3 (fun _ -> Rng.int r ~bound:1_000_000_000));
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; true; true; true; false; false; false ]
+    (List.init 8 (fun _ -> Rng.bool r))
+
+let test_kat_split_copy () =
+  let p = Rng.create ~seed:7L in
+  check_uint64s "split child" (Rng.split p)
+    [ 0x214c58958ca2a8a5L; 0x84a76abe9e4119dcL; 0xd9dd03480cc8f2e4L ];
+  check_uint64s "parent after split" p
+    [ 0x475c3d964f482cd2L; 0xd6f1d349952c7996L ];
+  let p = Rng.create ~seed:7L in
+  List.iter
+    (fun (index, expected) ->
+      check_uint64s (Printf.sprintf "split_indexed %d" index)
+        (Rng.split_indexed p ~index) expected)
+    [
+      (0, [ 0xbdc0504fdd1f2acbL; 0xc33da9fe8ad3a210L; 0x66cefd9ca290690fL ]);
+      (1, [ 0x8135948fff6f2d9cL; 0x13b3bb1ed13ace29L; 0x7720730cab09d179L ]);
+      (7, [ 0x9a3a6ce487c5824dL; 0x54090bf31cb3dd10L; 0x82773e6821e6f948L ]);
+    ];
+  check_uint64s "parent untouched by split_indexed" p
+    [ 0xb358faf74ef9765aL; 0x475c3d964f482cd2L ];
+  let c = Rng.copy p in
+  check_uint64s "copy" c [ 0xd6f1d349952c7996L ];
+  check_uint64s "original after copy" p [ 0xd6f1d349952c7996L ]
+
+let test_kat_long_stream () =
+  (* A fold over the first million draws pins the stream far from the
+     seed, where a state-update slip would have long since diverged. *)
+  let r = Rng.create ~seed:1L in
+  let acc = ref 0L in
+  for _ = 1 to 1_000_000 do
+    acc := Int64.logxor (Int64.mul !acc 3L) (Rng.uint64 r)
+  done;
+  Alcotest.(check int64) "fold" 0x13c7e7ca59c27470L !acc
+
+let test_draws_do_not_allocate () =
+  (* The state is unboxed and the draws are unboxed externals, so a
+     steady stream of draws must not touch the minor heap.  Only
+     meaningful in native code — bytecode boxes every float. *)
+  let rng = Rng.create ~seed:12L in
+  (* A float array cell holds the running sum unboxed. *)
+  let acc = [| 0.0 |] in
+  let draw () =
+    for _ = 1 to 10_000 do
+      acc.(0) <- acc.(0) +. Rng.float rng +. Rng.float_pos rng
+    done
+  in
+  draw ();
+  let w0 = Gc.minor_words () in
+  draw ();
+  let allocated = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "draws are finite" true (Float.is_finite acc.(0));
+  match Sys.backend_type with
+  | Sys.Native ->
+      if allocated > 0.0 then
+        Alcotest.failf "20000 draws allocated %.0f minor words" allocated
+  | Sys.Bytecode | Sys.Other _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Samplers *)
 
 let test_exponential_moments () =
@@ -246,6 +355,16 @@ let () =
             test_int_unbiased_small_bound;
           Alcotest.test_case "int rejects bad bound" `Quick
             test_int_rejects_bad_bound;
+        ] );
+      ( "known-answer",
+        [
+          Alcotest.test_case "uint64" `Quick test_kat_uint64;
+          Alcotest.test_case "float, int, bool" `Quick test_kat_derived;
+          Alcotest.test_case "split, split_indexed, copy" `Quick
+            test_kat_split_copy;
+          Alcotest.test_case "long stream" `Quick test_kat_long_stream;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_draws_do_not_allocate;
         ] );
       ( "samplers",
         [
