@@ -33,13 +33,41 @@ let quick_arg =
   let doc = "Use small synthetic traces (fast, less statistics)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* Range-checked converters for the model flags.  An out-of-range value
+   is a command-line error naming the flag (exit 2), in every subcommand
+   that takes it, instead of a library [Invalid_argument] escaping the
+   run. *)
+let float_in ~range ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when ok v -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not in %s" s range))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let utilization = float_in ~range:"(0, 1)" (fun v -> v > 0.0 && v < 1.0)
+let hurst = float_in ~range:"(0.5, 1)" (fun v -> v > 0.5 && v < 1.0)
+let seconds = float_in ~range:"(0, inf)" (fun v -> v > 0.0 && Float.is_finite v)
+let cutoff = float_in ~range:"(0, inf]" (fun v -> v > 0.0)
+
 let utilization_arg =
   let doc = "Server utilization (mean rate / service rate), in (0, 1)." in
-  Arg.(value & opt float 0.8 & info [ "u"; "utilization" ] ~docv:"U" ~doc)
+  Arg.(value & opt utilization 0.8 & info [ "u"; "utilization" ] ~docv:"U" ~doc)
 
 let buffer_arg =
-  let doc = "Normalized buffer size in seconds (buffer = B * service rate)." in
-  Arg.(value & opt float 1.0 & info [ "b"; "buffer" ] ~docv:"SECONDS" ~doc)
+  let doc = "Normalized buffer size in seconds (buffer = B * service rate), \
+             positive." in
+  Arg.(value & opt seconds 1.0 & info [ "b"; "buffer" ] ~docv:"SECONDS" ~doc)
+
+let hurst_arg =
+  let doc = "Hurst parameter in (0.5, 1); alpha = 3 - 2H." in
+  Arg.(value & opt hurst 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
+
+let cutoff_arg =
+  let doc = "Cutoff lag T_c in seconds (correlation is zero beyond); \
+             $(b,inf) for the untruncated self-similar model." in
+  Arg.(value & opt cutoff Float.infinity & info [ "cutoff" ] ~docv:"TC" ~doc)
 
 let trace_file_arg =
   let doc = "Input trace file (as written by $(b,lrd trace)); its 50-bin \
@@ -177,15 +205,6 @@ let with_telemetry ?metrics_interval ?trace_out ?(seal = ref ignore) format
 (* solve *)
 
 let solve_cmd =
-  let hurst_arg =
-    let doc = "Hurst parameter in (0.5, 1); alpha = 3 - 2H." in
-    Arg.(value & opt float 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
-  in
-  let cutoff_arg =
-    let doc = "Cutoff lag T_c in seconds (correlation is zero beyond); \
-               $(b,inf) for the untruncated self-similar model." in
-    Arg.(value & opt float Float.infinity & info [ "cutoff" ] ~docv:"TC" ~doc)
-  in
   let marginal_arg =
     let doc = "Built-in marginal: mtv or bellcore (synthetic trace \
                histograms).  Ignored when --trace-file is given." in
@@ -195,7 +214,8 @@ let solve_cmd =
     let doc = "Mean epoch duration in seconds used to match theta (eq. 25) \
                when no trace is given; defaults to the built-in trace's \
                measured value." in
-    Arg.(value & opt (some float) None & info [ "epoch" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value & opt (some seconds) None & info [ "epoch" ] ~docv:"SECONDS" ~doc)
   in
   let run quick seed utilization buffer hurst cutoff marginal_name trace epoch
       metrics metrics_out trace_out =
@@ -506,7 +526,7 @@ let fit_cmd =
   in
   let hurst_arg =
     let doc = "Hurst parameter (default: wavelet estimate from the trace)." in
-    Arg.(value & opt (some float) None & info [ "H"; "hurst" ] ~docv:"H" ~doc)
+    Arg.(value & opt (some hurst) None & info [ "H"; "hurst" ] ~docv:"H" ~doc)
   in
   let run utilization buffer hurst path metrics metrics_out trace_out =
     with_telemetry ?trace_out metrics metrics_out @@ fun () ->
@@ -675,14 +695,6 @@ let provision_cmd =
   let marginal_arg =
     let doc = "Built-in marginal: mtv or bellcore." in
     Arg.(value & opt string "mtv" & info [ "marginal" ] ~docv:"NAME" ~doc)
-  in
-  let hurst_arg =
-    let doc = "Hurst parameter." in
-    Arg.(value & opt float 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
-  in
-  let cutoff_arg =
-    let doc = "Cutoff lag in seconds (inf for self-similar)." in
-    Arg.(value & opt float Float.infinity & info [ "cutoff" ] ~docv:"TC" ~doc)
   in
   let run quick seed utilization buffer knob marginal_name trace hurst cutoff
       target =
@@ -1246,18 +1258,25 @@ let () =
      (Grossglauser & Bolot, SIGCOMM '96)"
   in
   let info = Cmd.info "lrd" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        solve_cmd;
+        trace_cmd;
+        hurst_cmd;
+        simulate_cmd;
+        provision_cmd;
+        fit_cmd;
+        ams_cmd;
+        stationarity_cmd;
+        experiment_cmd;
+        metrics_cmd;
+      ]
+  in
+  (* Bad command-line input, whether a converter or the command itself
+     rejects it, exits 2 like `lrd metrics diff` on unreadable input. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            solve_cmd;
-            trace_cmd;
-            hurst_cmd;
-            simulate_cmd;
-            provision_cmd;
-            fit_cmd;
-            ams_cmd;
-            stationarity_cmd;
-            experiment_cmd;
-            metrics_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

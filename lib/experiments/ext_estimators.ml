@@ -55,11 +55,7 @@ let run ctx fmt =
         (safe (fun d ->
              (Lrd_stats.Hurst.abry_veitch d).Lrd_stats.Hurst.hurst))
         (safe (fun d ->
-             (* Shared planned workspace: the synthetic inputs all have
-                one length and the trace inputs reuse by transform size. *)
-             let ws = Lrd_stats.Whittle.domain_workspace ~n:(Array.length d) in
-             (Lrd_stats.Whittle.Workspace.local_whittle ws d)
-               .Lrd_stats.Whittle.hurst)))
+             (Lrd_stats.Whittle.local_whittle d).Lrd_stats.Whittle.hurst)))
     inputs;
   Format.fprintf fmt
     "(pure fGn is every estimator's home turf; composite processes - \

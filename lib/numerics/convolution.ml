@@ -60,13 +60,11 @@ let fft a b =
     out
   end
 
-(* The single crossover heuristic shared by [auto] and the solver
-   (previously the two used different thresholds: 4096 here, an
-   unrelated bin-count cutoff of 64 there).  Re-measured on the planned
-   dual-channel path at solver shapes (signal m+1 against kernel 2m+1):
-   the schoolbook loop wins clearly below a length product of ~1.5k,
-   the FFT wins clearly above ~4k, and the band between is within noise
-   of even, so the conservative end of the measured band is kept. *)
+(* The single crossover heuristic of the solver's grid construction.
+   Measured at solver shapes (signal m+1 against kernel 2m+1): the
+   schoolbook loop wins clearly below a length product of ~1.5k, the
+   FFT wins clearly above ~4k, and the band between is within noise of
+   even, so the conservative end of the measured band is kept. *)
 let fft_product_threshold = 4096
 
 let prefer_fft ~na ~nb = na * nb > fft_product_threshold
@@ -95,17 +93,11 @@ let prefer_fft_fixed ~transform_size ~direct_ops =
   > float_of_int fft_product_threshold /. (2.0 *. 128.0 *. 7.0)
     *. transform_point_bits
 
-let auto a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then [||]
-  else if prefer_fft ~na ~nb then fft a b
-  else direct a b
-
 (* ------------------------------------------------------------------ *)
 (* Planned real convolution against a fixed kernel.
 
    The plan owns the kernel's half-spectrum, a real-transform plan, and
-   half-spectrum scratch, so [execute] performs no heap allocation in
+   half-spectrum scratch, so [execute_real] performs no heap allocation in
    steady state: pack the (zero-extended) signal straight into the
    half-size transform, multiply the n/2 + 1 independent bins in one
    fused pass (conjugate symmetry makes the upper half free), and
@@ -114,13 +106,13 @@ let auto a b =
    A plan built with an explicit [size] smaller than the full linear
    length computes CIRCULAR convolutions: the kernel is wrapped mod
    [size] at build time, which is what the solver's aliased Lindley
-   step wants.  Such a plan refuses the linear [execute]. *)
+   step wants.  Such a plan refuses the linear [execute_real]. *)
 
 type real_plan = {
   kernel_len : int;
   max_signal : int;
   n : int;  (* transform size *)
-  linear : bool;  (* n covers na + nk - 1: [execute] output is linear *)
+  linear : bool;  (* n covers na + nk - 1: [execute_real] is linear *)
   rfft : Fft.Real.t;
   kre : float array;  (* kernel half-spectrum, length n/2 + 1 *)
   kim : float array;
@@ -128,12 +120,11 @@ type real_plan = {
   sim : float array;
 }
 
-type plan = real_plan
-
 let make_real_plan ?size ~kernel ~max_signal () =
   let nk = Array.length kernel in
-  if nk = 0 then invalid_arg "Convolution.make_plan: empty kernel";
-  if max_signal < 1 then invalid_arg "Convolution.make_plan: max_signal < 1";
+  if nk = 0 then invalid_arg "Convolution.make_real_plan: empty kernel";
+  if max_signal < 1 then
+    invalid_arg "Convolution.make_real_plan: max_signal < 1";
   let full = nk + max_signal - 1 in
   let n = match size with None -> real_transform_size_for full | Some s -> s in
   if n < max_signal then
@@ -164,7 +155,6 @@ let make_real_plan ?size ~kernel ~max_signal () =
     sim = Array.make bins 0.0;
   }
 
-let make_plan ~kernel ~max_signal = make_real_plan ~kernel ~max_signal ()
 let real_transform_size plan = plan.n
 
 (* The fused half-spectrum pass shared by every execute flavor. *)
@@ -178,23 +168,22 @@ let multiply_spectra plan =
     Array.unsafe_set sim i ((ar *. bi) +. (ai *. br))
   done
 
-let execute plan a ~dst =
+let execute_real plan a ~dst =
   let na = Array.length a in
-  if na = 0 then invalid_arg "Convolution.execute: empty signal";
+  if na = 0 then invalid_arg "Convolution.execute_real: empty signal";
   if na > plan.max_signal then
-    invalid_arg "Convolution.execute: signal longer than plan";
+    invalid_arg "Convolution.execute_real: signal longer than plan";
   if not plan.linear then
-    invalid_arg "Convolution.execute: circular plan cannot produce linear output";
+    invalid_arg
+      "Convolution.execute_real: circular plan cannot produce linear output";
   let out_len = na + plan.kernel_len - 1 in
   if Array.length dst < out_len then
-    invalid_arg "Convolution.execute: dst too short";
+    invalid_arg "Convolution.execute_real: dst too short";
   Fft.Real.forward_ip plan.rfft ~signal:a ~len:na ~spec_re:plan.sre
     ~spec_im:plan.sim;
   multiply_spectra plan;
   Fft.Real.inverse_ip plan.rfft ~spec_re:plan.sre ~spec_im:plan.sim ~signal:dst
     ~len:out_len
-
-let execute_real = execute
 
 let execute_real_circular plan ~signal ~len ~dst =
   if len < 1 || len > plan.max_signal || len > plan.n then
@@ -206,19 +195,6 @@ let execute_real_circular plan ~signal ~len ~dst =
   multiply_spectra plan;
   Fft.Real.inverse_big plan.rfft ~spec_re:plan.sre ~spec_im:plan.sim
     ~signal:dst ~len:plan.n
-
-let convolve_plan plan a =
-  let na = Array.length a in
-  if na > plan.max_signal then
-    invalid_arg "Convolution.convolve_plan: signal longer than plan";
-  if na = 0 then [||]
-  else begin
-    let dst = Array.make (na + plan.kernel_len - 1) 0.0 in
-    execute plan a ~dst;
-    dst
-  end
-
-let convolve_real = convolve_plan
 
 (* Schoolbook convolution reading the signal from / writing into
    Bigarray vectors — the solver's direct path over its unboxed state.
@@ -241,113 +217,3 @@ let direct_into_big (signal : Fft.vec) ~len ~kernel ~(dst : Fft.vec) =
           (Bigarray.Array1.unsafe_get dst k +. (ai *. Array.unsafe_get kernel j))
       done
   done
-
-(* ------------------------------------------------------------------ *)
-(* Dual-channel convolution.
-
-   Two real signals [a] and [b] are packed as [z = a + i b] and sent
-   through ONE forward transform.  Because [a] and [b] are real, their
-   spectra are recovered from [Z] by Hermitian symmetry:
-
-     A_k = (Z_k + conj Z_{n-k}) / 2,   B_k = -i (Z_k - conj Z_{n-k}) / 2.
-
-   Each spectrum is multiplied by its own kernel spectrum, the products
-   are re-packed as [W_k = (A K_a)_k + i (B K_b)_k], and ONE inverse
-   transform returns both convolutions: [Re w = a * k_a], [Im w = b * k_b].
-   A Lindley step that previously cost four transforms (forward+inverse
-   per chain) now costs two. *)
-
-type dual_plan = {
-  d_ka_len : int;
-  d_kb_len : int;
-  d_max_signal : int;
-  d_n : int;
-  d_fft_plan : Fft.plan;
-  kare : float array;  (* spectrum of kernel_a *)
-  kaim : float array;
-  kbre : float array;  (* spectrum of kernel_b *)
-  kbim : float array;
-  zre : float array;  (* packed signal scratch, length n *)
-  zim : float array;
-}
-
-let make_dual_plan ~kernel_a ~kernel_b ~max_signal =
-  let nka = Array.length kernel_a and nkb = Array.length kernel_b in
-  if nka = 0 || nkb = 0 then
-    invalid_arg "Convolution.make_dual_plan: empty kernel";
-  if max_signal < 1 then
-    invalid_arg "Convolution.make_dual_plan: max_signal < 1";
-  let n = Fft.next_power_of_two (max nka nkb + max_signal - 1) in
-  let fft_plan = Fft.make_plan n in
-  let spectrum kernel nk =
-    let re = Array.make n 0.0 and im = Array.make n 0.0 in
-    Array.blit kernel 0 re 0 nk;
-    Fft.forward_ip fft_plan ~re ~im;
-    (re, im)
-  in
-  let kare, kaim = spectrum kernel_a nka in
-  let kbre, kbim = spectrum kernel_b nkb in
-  {
-    d_ka_len = nka;
-    d_kb_len = nkb;
-    d_max_signal = max_signal;
-    d_n = n;
-    d_fft_plan = fft_plan;
-    kare;
-    kaim;
-    kbre;
-    kbim;
-    zre = Array.make n 0.0;
-    zim = Array.make n 0.0;
-  }
-
-let execute_dual plan ~a ~b ~dst_a ~dst_b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then invalid_arg "Convolution.execute_dual: empty signal";
-  if na > plan.d_max_signal || nb > plan.d_max_signal then
-    invalid_arg "Convolution.execute_dual: signal longer than plan";
-  let out_a = na + plan.d_ka_len - 1 and out_b = nb + plan.d_kb_len - 1 in
-  if Array.length dst_a < out_a || Array.length dst_b < out_b then
-    invalid_arg "Convolution.execute_dual: dst too short";
-  let n = plan.d_n in
-  let zre = plan.zre and zim = plan.zim in
-  (* Pack z = a + i b. *)
-  Array.blit a 0 zre 0 na;
-  Array.fill zre na (n - na) 0.0;
-  Array.blit b 0 zim 0 nb;
-  Array.fill zim nb (n - nb) 0.0;
-  Fft.forward_ip plan.d_fft_plan ~re:zre ~im:zim;
-  let kare = plan.kare and kaim = plan.kaim in
-  let kbre = plan.kbre and kbim = plan.kbim in
-  (* Unpack by Hermitian symmetry, multiply, re-pack — self-conjugate
-     bins first, then the (k, n-k) pairs in one sweep. *)
-  let a0 = zre.(0) and b0 = zim.(0) in
-  zre.(0) <- (a0 *. kare.(0)) -. (b0 *. kbim.(0));
-  zim.(0) <- (a0 *. kaim.(0)) +. (b0 *. kbre.(0));
-  if n > 1 then begin
-    let h = n / 2 in
-    let ah = zre.(h) and bh = zim.(h) in
-    zre.(h) <- (ah *. kare.(h)) -. (bh *. kbim.(h));
-    zim.(h) <- (ah *. kaim.(h)) +. (bh *. kbre.(h));
-    for k = 1 to h - 1 do
-      let j = n - k in
-      let zrk = Array.unsafe_get zre k and zik = Array.unsafe_get zim k in
-      let zrj = Array.unsafe_get zre j and zij = Array.unsafe_get zim j in
-      (* A_k and B_k from the packed spectrum. *)
-      let ar = 0.5 *. (zrk +. zrj) and ai = 0.5 *. (zik -. zij) in
-      let br = 0.5 *. (zik +. zij) and bi = 0.5 *. (zrj -. zrk) in
-      (* P = A_k Ka_k,  Q = B_k Kb_k. *)
-      let kar = Array.unsafe_get kare k and kai = Array.unsafe_get kaim k in
-      let kbr = Array.unsafe_get kbre k and kbi = Array.unsafe_get kbim k in
-      let pr = (ar *. kar) -. (ai *. kai) and pi = (ar *. kai) +. (ai *. kar) in
-      let qr = (br *. kbr) -. (bi *. kbi) and qi = (br *. kbi) +. (bi *. kbr) in
-      (* W_k = P + i Q;  W_{n-k} = conj P + i conj Q. *)
-      Array.unsafe_set zre k (pr -. qi);
-      Array.unsafe_set zim k (pi +. qr);
-      Array.unsafe_set zre j (pr +. qi);
-      Array.unsafe_set zim j (qr -. pi)
-    done
-  end;
-  Fft.inverse_ip plan.d_fft_plan ~re:zre ~im:zim;
-  Array.blit zre 0 dst_a 0 out_a;
-  Array.blit zim 0 dst_b 0 out_b

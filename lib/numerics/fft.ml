@@ -15,10 +15,9 @@ type vec =
    [len = 2^s] reads its [half = len/2] factors at offset [half - 1]
    (the halves of the earlier stages sum to exactly that), so the table
    holds [n - 1] factors total.  Each factor is computed by a direct
-   cos/sin call rather than the repeated-multiplication recurrence of
-   the unplanned code path, which both removes the O(len) error
-   accumulation within a stage and moves all trigonometry out of the
-   transform itself. *)
+   cos/sin call rather than a repeated-multiplication recurrence, which
+   both removes the O(len) error accumulation within a stage and moves
+   all trigonometry out of the transform itself. *)
 
 type pow2_plan = {
   p2_size : int;
@@ -423,46 +422,6 @@ let inverse_ip plan ~re ~im =
     Array.unsafe_set re i (Array.unsafe_get re i *. inv);
     Array.unsafe_set im i (Array.unsafe_get im i *. inv)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Unplanned API.
-
-   Sizes are powers of two, so at most ~60 distinct plans can ever
-   exist; memoizing them makes the plain [forward]/[inverse] calls all
-   over the statistics and trace generators reuse the tables too. *)
-
-let plan_cache : (int, plan) Hashtbl.t = Hashtbl.create 16
-
-(* Cache traffic is worth watching: a workload that misses here on a
-   hot path is rebuilding twiddle tables instead of transforming. *)
-let m_plan_hits = Lrd_obs.Obs.Counter.make "fft/plan_cache_hits"
-let m_plan_misses = Lrd_obs.Obs.Counter.make "fft/plan_cache_misses"
-
-let cached_plan n =
-  match Hashtbl.find_opt plan_cache n with
-  | Some p ->
-      Lrd_obs.Obs.Counter.incr m_plan_hits;
-      p
-  | None ->
-      Lrd_obs.Obs.Counter.incr m_plan_misses;
-      let p = make_plan n in
-      Hashtbl.add plan_cache n p;
-      p
-
-let check re im =
-  let n = Array.length re in
-  if Array.length im <> n then
-    invalid_arg "Fft: re and im must have the same length";
-  if not (is_power_of_two n) then
-    invalid_arg "Fft: length must be a power of two"
-
-let forward ~re ~im =
-  check re im;
-  transform_any (cached_plan (Array.length re)) ~conjugate:false re im
-
-let inverse ~re ~im =
-  check re im;
-  inverse_ip (cached_plan (Array.length re)) ~re ~im
 
 let dft_naive ~re ~im =
   let n = Array.length re in

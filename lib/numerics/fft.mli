@@ -3,20 +3,20 @@
     The transform operates in place on a pair of arrays holding the real
     and imaginary parts.  The forward transform computes
     [X_k = sum_n x_n exp(-2 i pi k n / N)]; the inverse transform
-    includes the [1/N] normalization so that [inverse (forward x) = x]
-    up to rounding.
+    includes the [1/N] normalization so that the inverse undoes the
+    forward transform up to rounding.
 
-    Two API levels are provided.  The planned API ({!make_plan},
-    {!make_any_plan}, {!forward_ip}, {!inverse_ip}) precomputes the
+    The complex API ({!make_plan}, {!make_any_plan}, {!forward_ip},
+    {!inverse_ip}) precomputes the
     twiddle-factor tables once and then transforms caller-owned buffers
-    with zero heap allocation per call — this is what the solver's
-    convolution engine iterates hundreds of thousands of times.  The
-    plain {!forward}/{!inverse} calls keep the historical power-of-two
-    signature and reuse memoized plans internally.
+    with zero heap allocation per call.  It is the core of {!Real} and,
+    with {!dft_naive}, the tests' oracle.
 
     {!Real} transforms real-valued signals of even fast length through
     one half-size complex transform, producing the half-spectrum
-    [X_0 .. X_{n/2}] that conjugate symmetry completes. *)
+    [X_0 .. X_{n/2}] that conjugate symmetry completes.  Every real
+    signal in the library — solver convolutions, superposition, trace
+    synthesis and the spectral estimators — goes through it. *)
 
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] is [true] iff [n] is a positive power of two. *)
@@ -72,20 +72,10 @@ val inverse_ip : plan -> re:float array -> im:float array -> unit
 (** In-place inverse transform with [1/N] normalization; allocation-free
     like {!forward_ip}.  @raise Invalid_argument as for {!forward_ip}. *)
 
-val forward : re:float array -> im:float array -> unit
-(** In-place forward transform.  Reuses an internally memoized plan for
-    the given size (sizes are powers of two, so the memo table stays
-    tiny).  @raise Invalid_argument if the arrays have different lengths
-    or a length that is not a power of two. *)
-
-val inverse : re:float array -> im:float array -> unit
-(** In-place inverse transform with [1/N] normalization.
-    @raise Invalid_argument as for {!forward}. *)
-
 val dft_naive : re:float array -> im:float array -> float array * float array
 (** Direct O(N^2) discrete Fourier transform of the given complex signal,
     returned as fresh arrays.  Any length is accepted.  Intended as a test
-    oracle for {!forward} and {!forward_ip}. *)
+    oracle for {!forward_ip} and {!Real}. *)
 
 (** Real-input transforms via the pack-real trick: a real signal of
     even fast length [n] is transformed by one complex FFT of size

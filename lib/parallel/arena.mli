@@ -1,7 +1,7 @@
 (** Per-domain workspace arenas.
 
-    Plans and workspaces (FFT plans with scratch buffers, generator
-    eigenvalue tables, estimator scratch) are mutable and must not be
+    Plans and workspaces (generator eigenvalue tables with scratch
+    buffers, shuffle and M/G/inf scratch) are mutable and must not be
     shared across domains, yet rebuilding them per call defeats their
     purpose.  An arena memoizes workspaces *per domain*: each domain
     that calls {!get} lazily grows its own private table (backed by

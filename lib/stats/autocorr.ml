@@ -17,85 +17,16 @@ let autocovariance_direct a ~max_lag =
       Summation.total acc /. float_of_int n)
 
 (* Wiener-Khinchin: |FFT(x - m)|^2, inverse-transformed.  Zero padding
-   to >= 2n turns the circular correlation into the linear one.  The
-   caller supplies the transforms and scratch of length [size], so the
-   planned workspace and the one-shot path below run the identical float
-   operations (bit-identical results). *)
-let acv_fft ~forward ~inverse ~re ~im ~size a ~max_lag ~dst =
+   to >= 2n turns the circular correlation into the linear one; the
+   power spectrum is real, so the inverse reads a zero imaginary part. *)
+let acv_fft a ~max_lag ~size =
   let n = Array.length a in
-  let m = Array_ops.mean a in
-  for i = 0 to n - 1 do
-    re.(i) <- a.(i) -. m
-  done;
-  Array.fill re n (size - n) 0.0;
-  Array.fill im 0 size 0.0;
-  forward ~re ~im;
-  for i = 0 to size - 1 do
-    re.(i) <- (re.(i) *. re.(i)) +. (im.(i) *. im.(i));
-    im.(i) <- 0.0
-  done;
-  inverse ~re ~im;
-  for k = 0 to max_lag do
-    dst.(k) <- re.(k) /. float_of_int n
-  done
-
-let normalize acv =
-  if acv.(0) <= 0.0 then
-    invalid_arg "Autocorr.autocorrelation: constant series";
-  Array.map (fun v -> v /. acv.(0)) acv
-
-module Workspace = struct
-  type t = {
-    size : int;  (* transform size: next_pow2 (2 n) *)
-    plan : Fft.plan;
-    re : float array;
-    im : float array;
-  }
-
-  let make ~n =
-    if n <= 0 then invalid_arg "Autocorr.Workspace.make: n must be positive";
-    let size = Fft.next_power_of_two (2 * n) in
-    {
-      size;
-      plan = Fft.make_plan size;
-      re = Array.make size 0.0;
-      im = Array.make size 0.0;
-    }
-
-  let size t = t.size
-
-  let check_fit t a =
-    let n = Array.length a in
-    if n = 0 || Fft.next_power_of_two (2 * n) <> t.size then
-      invalid_arg "Autocorr.Workspace: series does not match the workspace size"
-
-  let autocovariance_into t a ~max_lag ~dst =
-    check a ~max_lag;
-    check_fit t a;
-    if Array.length dst < max_lag + 1 then
-      invalid_arg "Autocorr.Workspace: dst too short";
-    acv_fft
-      ~forward:(Fft.forward_ip t.plan)
-      ~inverse:(Fft.inverse_ip t.plan)
-      ~re:t.re ~im:t.im ~size:t.size a ~max_lag ~dst
-
-  let autocovariance t a ~max_lag =
-    check a ~max_lag;
-    let dst = Array.make (max_lag + 1) 0.0 in
-    autocovariance_into t a ~max_lag ~dst;
-    dst
-
-  let autocorrelation t a ~max_lag = normalize (autocovariance t a ~max_lag)
-end
-
-(* The calling domain's cached workspace, keyed by the transform size so
-   every series length mapping to the same power of two shares one. *)
-let domain_workspaces =
-  Lrd_parallel.Arena.create (fun size -> Workspace.make ~n:(size / 2))
-
-let domain_workspace ~n =
-  if n <= 0 then invalid_arg "Autocorr.domain_workspace: n must be positive";
-  Lrd_parallel.Arena.get domain_workspaces (Fft.next_power_of_two (2 * n))
+  let power = Half_spectrum.power ~size a in
+  let dst = Array.make (max_lag + 1) 0.0 in
+  Fft.Real.inverse_ip (Fft.Real.cached_plan size) ~spec_re:power
+    ~spec_im:(Array.make (Array.length power) 0.0)
+    ~signal:dst ~len:(max_lag + 1);
+  Array.map (fun v -> v /. float_of_int n) dst
 
 let autocovariance a ~max_lag =
   check a ~max_lag;
@@ -107,13 +38,11 @@ let autocovariance a ~max_lag =
   if
     Convolution.prefer_fft_fixed ~transform_size:size
       ~direct_ops:(n * (max_lag + 1))
-  then begin
-    let re = Array.make size 0.0 and im = Array.make size 0.0 in
-    let dst = Array.make (max_lag + 1) 0.0 in
-    acv_fft ~forward:Fft.forward ~inverse:Fft.inverse ~re ~im ~size a ~max_lag
-      ~dst;
-    dst
-  end
+  then acv_fft a ~max_lag ~size
   else autocovariance_direct a ~max_lag
 
-let autocorrelation a ~max_lag = normalize (autocovariance a ~max_lag)
+let autocorrelation a ~max_lag =
+  let acv = autocovariance a ~max_lag in
+  if acv.(0) <= 0.0 then
+    invalid_arg "Autocorr.autocorrelation: constant series";
+  Array.map (fun v -> v /. acv.(0)) acv

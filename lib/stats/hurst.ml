@@ -108,19 +108,13 @@ let rescaled_range ?(min_block = 8) ?max_block ?(points = 12) a =
 
 let periodogram a =
   let n = Array.length a in
-  let m = Lrd_numerics.Array_ops.mean a in
   let size = Lrd_numerics.Fft.next_power_of_two n in
-  let re = Array.make size 0.0 and im = Array.make size 0.0 in
-  for i = 0 to n - 1 do
-    re.(i) <- a.(i) -. m
-  done;
-  Lrd_numerics.Fft.forward ~re ~im;
+  let power = Half_spectrum.power ~size a in
   (* I(w_j) = |X_j|^2 / (2 pi n) at w_j = 2 pi j / size. *)
   let norm = 2.0 *. Float.pi *. float_of_int n in
   ( Array.init (size / 2) (fun j ->
         2.0 *. Float.pi *. float_of_int j /. float_of_int size),
-    Array.init (size / 2) (fun j ->
-        ((re.(j) *. re.(j)) +. (im.(j) *. im.(j))) /. norm) )
+    Array.init (size / 2) (fun j -> power.(j) /. norm) )
 
 let gph ?frequencies a =
   let n = Array.length a in

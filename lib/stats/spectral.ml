@@ -4,68 +4,19 @@ type estimate = {
   segments : int;
 }
 
-(* The caller supplies the transform and scratch of length [size], so
-   the planned workspace and the one-shot path run the identical float
-   operations (bit-identical results). *)
-let raw_periodogram_core ~forward ~re ~im ~size data =
-  let n = Array.length data in
-  let mean = Lrd_numerics.Array_ops.mean data in
-  for i = 0 to n - 1 do
-    re.(i) <- data.(i) -. mean
-  done;
-  Array.fill re n (size - n) 0.0;
-  Array.fill im 0 size 0.0;
-  forward ~re ~im;
-  let norm = 2.0 *. Float.pi *. float_of_int n in
-  ( Array.init (size / 2) (fun j ->
-        2.0 *. Float.pi *. float_of_int (j + 1) /. float_of_int size),
-    Array.init (size / 2) (fun j ->
-        let k = j + 1 in
-        ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) /. norm) )
-
-let raw_periodogram data =
-  let size = Lrd_numerics.Fft.next_power_of_two (Array.length data) in
-  let re = Array.make size 0.0 and im = Array.make size 0.0 in
-  raw_periodogram_core ~forward:Lrd_numerics.Fft.forward ~re ~im ~size data
-
 let periodogram data =
-  if Array.length data < 8 then
-    invalid_arg "Spectral.periodogram: series too short";
-  let frequencies, power = raw_periodogram data in
-  { frequencies; power; segments = 1 }
-
-module Workspace = struct
-  type t = {
-    size : int;
-    plan : Lrd_numerics.Fft.plan;
-    re : float array;
-    im : float array;
+  let n = Array.length data in
+  if n < 8 then invalid_arg "Spectral.periodogram: series too short";
+  let size = Lrd_numerics.Fft.next_power_of_two n in
+  let power = Half_spectrum.power ~size data in
+  let norm = 2.0 *. Float.pi *. float_of_int n in
+  {
+    frequencies =
+      Array.init (size / 2) (fun j ->
+          2.0 *. Float.pi *. float_of_int (j + 1) /. float_of_int size);
+    power = Array.init (size / 2) (fun j -> power.(j + 1) /. norm);
+    segments = 1;
   }
-
-  let make ~n =
-    if n < 8 then invalid_arg "Spectral.Workspace.make: n must be at least 8";
-    let size = Lrd_numerics.Fft.next_power_of_two n in
-    {
-      size;
-      plan = Lrd_numerics.Fft.make_plan size;
-      re = Array.make size 0.0;
-      im = Array.make size 0.0;
-    }
-
-  let size t = t.size
-
-  let periodogram t data =
-    if Array.length data < 8 then
-      invalid_arg "Spectral.periodogram: series too short";
-    if Lrd_numerics.Fft.next_power_of_two (Array.length data) <> t.size then
-      invalid_arg "Spectral.Workspace: series does not match the workspace size";
-    let frequencies, power =
-      raw_periodogram_core
-        ~forward:(Lrd_numerics.Fft.forward_ip t.plan)
-        ~re:t.re ~im:t.im ~size:t.size data
-    in
-    { frequencies; power; segments = 1 }
-end
 
 let welch ?segment ?(overlap = 0.5) data =
   let n = Array.length data in
@@ -93,14 +44,17 @@ let welch ?segment ?(overlap = 0.5) data =
   let mean = Lrd_numerics.Array_ops.mean data in
   let half = segment / 2 in
   let accum = Array.make half 0.0 in
+  let plan = Lrd_numerics.Fft.Real.cached_plan segment in
+  let windowed = Array.make segment 0.0 in
+  let re = Array.make (half + 1) 0.0 and im = Array.make (half + 1) 0.0 in
   let segments = ref 0 in
   let start = ref 0 in
   while !start + segment <= n do
-    let re =
-      Array.init segment (fun i -> (data.(!start + i) -. mean) *. window.(i))
-    in
-    let im = Array.make segment 0.0 in
-    Lrd_numerics.Fft.forward ~re ~im;
+    for i = 0 to segment - 1 do
+      windowed.(i) <- (data.(!start + i) -. mean) *. window.(i)
+    done;
+    Lrd_numerics.Fft.Real.forward_ip plan ~signal:windowed ~len:segment
+      ~spec_re:re ~spec_im:im;
     for j = 0 to half - 1 do
       let k = j + 1 in
       accum.(j) <-

@@ -5,7 +5,8 @@
     averaging modified periodograms of overlapping windowed segments —
     trades frequency resolution for consistency.  Alongside, the
     closed-form spectral densities of fGn (Paxson's approximation) and
-    FARIMA(0, d, 0) for comparing estimates against theory. *)
+    FARIMA(0, d, 0) for comparing estimates against theory.  Both
+    estimators transform real data through {!Lrd_numerics.Fft.Real}. *)
 
 type estimate = {
   frequencies : float array;  (** Angular frequencies in (0, pi]. *)
@@ -17,26 +18,6 @@ val periodogram : float array -> estimate
 (** Raw periodogram at the Fourier frequencies of the (power-of-two
     padded) series, excluding frequency zero; normalized so that the
     integral over (-pi, pi] approximates the variance. *)
-
-module Workspace : sig
-  type t
-  (** A planned periodogram engine for one transform size
-      [next_pow2 n]: FFT plan plus complex scratch reused across calls.
-      Results are bit-identical to {!val:periodogram}.  Holds mutable
-      scratch — do not share across domains. *)
-
-  val make : n:int -> t
-  (** Workspace for series whose length rounds to the same [next_pow2]
-      as [n].  @raise Invalid_argument if [n < 8]. *)
-
-  val size : t -> int
-  (** The transform size. *)
-
-  val periodogram : t -> float array -> estimate
-  (** As {!val:periodogram}, reusing the plan and scratch.
-      @raise Invalid_argument if the series length does not round to
-      the workspace size, or is shorter than 8 points. *)
-end
 
 val welch :
   ?segment:int -> ?overlap:float -> float array -> estimate

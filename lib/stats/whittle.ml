@@ -36,37 +36,23 @@ let bandwidth ~size ~n frequencies =
   let requested = Option.value frequencies ~default:m_default in
   max 8 (min requested ((size / 2) - 1))
 
-(* Log Fourier frequencies log(2 pi k / size) for k = 1 .. m.  Pure plan
-   material: it depends only on the transform size, so the workspace
-   fills it once at build time and the one-shot path per call — the same
-   float expressions either way. *)
-let fill_log_omega log_omega ~size ~m =
-  for j = 0 to m - 1 do
-    log_omega.(j) <-
-      log (2.0 *. Float.pi *. float_of_int (j + 1) /. float_of_int size)
-  done
-
-(* The caller supplies the transform, the complex scratch of length
-   [size], and the frequency-domain buffers — [log_omega] prefilled for
-   at least [m] entries with its compensated prefix mean — so the
-   planned workspace and the one-shot path run the identical float
-   operations, including the summation order, and return bit-identical
-   fits. *)
-let estimate ~forward ~re ~im ~log_omega ~spectrum ~size ~m ~mean_log_omega a =
+let local_whittle ?frequencies a =
   let n = Array.length a in
-  let mean = Lrd_numerics.Array_ops.mean a in
-  for i = 0 to n - 1 do
-    re.(i) <- a.(i) -. mean
-  done;
-  Array.fill re n (size - n) 0.0;
-  Array.fill im 0 size 0.0;
-  forward ~re ~im;
-  for j = 0 to m - 1 do
-    let k = j + 1 in
-    spectrum.(j) <-
-      ((re.(k) *. re.(k)) +. (im.(k) *. im.(k)))
-      /. (2.0 *. Float.pi *. float_of_int n)
-  done;
+  if n < 64 then invalid_arg "Whittle.local_whittle: series too short";
+  let size = Lrd_numerics.Fft.next_power_of_two n in
+  let m = bandwidth ~size ~n frequencies in
+  let log_omega =
+    Array.init m (fun j ->
+        log (2.0 *. Float.pi *. float_of_int (j + 1) /. float_of_int size))
+  in
+  let mean_log_omega =
+    Lrd_numerics.Summation.kahan_slice log_omega ~pos:0 ~len:m
+    /. float_of_int m
+  in
+  let power = Half_spectrum.power ~size a in
+  let spectrum =
+    Array.init m (fun j -> power.(j + 1) /. (2.0 *. Float.pi *. float_of_int n))
+  in
   (* Robinson's profile objective R(d). *)
   let objective d =
     let acc = Lrd_numerics.Summation.create () in
@@ -84,79 +70,3 @@ let estimate ~forward ~re ~im ~log_omega ~spectrum ~size ~m ~mean_log_omega a =
     frequencies = m;
     objective = objective memory;
   }
-
-let local_whittle ?frequencies a =
-  let n = Array.length a in
-  if n < 64 then invalid_arg "Whittle.local_whittle: series too short";
-  let size = Lrd_numerics.Fft.next_power_of_two n in
-  let m = bandwidth ~size ~n frequencies in
-  let log_omega = Array.make m 0.0 in
-  fill_log_omega log_omega ~size ~m;
-  let mean_log_omega =
-    Lrd_numerics.Summation.kahan_slice log_omega ~pos:0 ~len:m
-    /. float_of_int m
-  in
-  estimate ~forward:Lrd_numerics.Fft.forward ~re:(Array.make size 0.0)
-    ~im:(Array.make size 0.0) ~log_omega ~spectrum:(Array.make m 0.0) ~size ~m
-    ~mean_log_omega a
-
-module Workspace = struct
-  type t = {
-    size : int;
-    plan : Lrd_numerics.Fft.plan;
-    re : float array;
-    im : float array;
-    log_omega : float array;  (* capacity size/2 - 1, prefix m used *)
-    mean_log_omega : float array;  (* prefix means: kahan(0..j) / (j+1) *)
-    spectrum : float array;
-  }
-
-  let make ~n =
-    if n < 64 then invalid_arg "Whittle.Workspace.make: n must be at least 64";
-    let size = Lrd_numerics.Fft.next_power_of_two n in
-    let cap = (size / 2) - 1 in
-    let log_omega = Array.make cap 0.0 in
-    fill_log_omega log_omega ~size ~m:cap;
-    (* Running totals of ONE compensated accumulator: the total after
-       j+1 adds is exactly [kahan_slice log_omega ~pos:0 ~len:(j+1)], so
-       every bandwidth's prefix mean matches the one-shot value bit for
-       bit. *)
-    let mean_log_omega = Array.make cap 0.0 in
-    let acc = Lrd_numerics.Summation.create () in
-    for j = 0 to cap - 1 do
-      Lrd_numerics.Summation.add acc log_omega.(j);
-      mean_log_omega.(j) <-
-        Lrd_numerics.Summation.total acc /. float_of_int (j + 1)
-    done;
-    {
-      size;
-      plan = Lrd_numerics.Fft.make_plan size;
-      re = Array.make size 0.0;
-      im = Array.make size 0.0;
-      log_omega;
-      mean_log_omega;
-      spectrum = Array.make cap 0.0;
-    }
-
-  let size t = t.size
-
-  let local_whittle t ?frequencies a =
-    let n = Array.length a in
-    if n < 64 then invalid_arg "Whittle.local_whittle: series too short";
-    if Lrd_numerics.Fft.next_power_of_two n <> t.size then
-      invalid_arg "Whittle.Workspace: series does not match the workspace size";
-    let m = bandwidth ~size:t.size ~n frequencies in
-    estimate
-      ~forward:(Lrd_numerics.Fft.forward_ip t.plan)
-      ~re:t.re ~im:t.im ~log_omega:t.log_omega ~spectrum:t.spectrum
-      ~size:t.size ~m ~mean_log_omega:t.mean_log_omega.(m - 1) a
-end
-
-(* The calling domain's cached workspace, keyed by transform size. *)
-let domain_workspaces =
-  Lrd_parallel.Arena.create (fun size -> Workspace.make ~n:size)
-
-let domain_workspace ~n =
-  if n < 64 then invalid_arg "Whittle.domain_workspace: n must be at least 64";
-  Lrd_parallel.Arena.get domain_workspaces
-    (Lrd_numerics.Fft.next_power_of_two n)

@@ -30,7 +30,7 @@ let test_fft_matches_naive_dft () =
   let re = Array.init n (fun _ -> next_float () -. 0.5) in
   let im = Array.init n (fun _ -> next_float () -. 0.5) in
   let expect_re, expect_im = Fft.dft_naive ~re ~im in
-  Fft.forward ~re ~im;
+  Fft.forward_ip (Fft.make_plan n) ~re ~im;
   for k = 0 to n - 1 do
     check_close ~eps:1e-10 (Printf.sprintf "re[%d]" k) expect_re.(k) re.(k);
     check_close ~eps:1e-10 (Printf.sprintf "im[%d]" k) expect_im.(k) im.(k)
@@ -41,8 +41,9 @@ let test_fft_roundtrip () =
   let re = Array.init n (fun _ -> next_float ()) in
   let im = Array.init n (fun _ -> next_float ()) in
   let orig_re = Array.copy re and orig_im = Array.copy im in
-  Fft.forward ~re ~im;
-  Fft.inverse ~re ~im;
+  let plan = Fft.make_plan n in
+  Fft.forward_ip plan ~re ~im;
+  Fft.inverse_ip plan ~re ~im;
   for k = 0 to n - 1 do
     check_close ~eps:1e-12 "roundtrip re" orig_re.(k) re.(k);
     check_close ~eps:1e-12 "roundtrip im" orig_im.(k) im.(k)
@@ -53,7 +54,7 @@ let test_fft_impulse () =
   let n = 16 in
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
   re.(0) <- 1.0;
-  Fft.forward ~re ~im;
+  Fft.forward_ip (Fft.make_plan n) ~re ~im;
   Array.iter (fun v -> check_close "impulse re" 1.0 v) re;
   Array.iter (fun v -> check_close "impulse im" 0.0 v) im
 
@@ -61,7 +62,7 @@ let test_fft_constant () =
   (* The transform of a constant has all energy in bin 0. *)
   let n = 32 in
   let re = Array.make n 2.5 and im = Array.make n 0.0 in
-  Fft.forward ~re ~im;
+  Fft.forward_ip (Fft.make_plan n) ~re ~im;
   check_close "dc" (2.5 *. float_of_int n) re.(0);
   for k = 1 to n - 1 do
     check_close "zero bin re" 0.0 re.(k);
@@ -75,7 +76,7 @@ let test_fft_parseval () =
   let time_energy =
     Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 re
   in
-  Fft.forward ~re ~im;
+  Fft.forward_ip (Fft.make_plan n) ~re ~im;
   let freq_energy = ref 0.0 in
   for k = 0 to n - 1 do
     freq_energy := !freq_energy +. (re.(k) *. re.(k)) +. (im.(k) *. im.(k))
@@ -85,11 +86,14 @@ let test_fft_parseval () =
 
 let test_fft_rejects_bad_input () =
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Fft: re and im must have the same length") (fun () ->
-      Fft.forward ~re:(Array.make 4 0.0) ~im:(Array.make 8 0.0));
+    (Invalid_argument "Fft: array length does not match the plan size")
+    (fun () ->
+      Fft.forward_ip (Fft.make_plan 4) ~re:(Array.make 4 0.0)
+        ~im:(Array.make 8 0.0));
   Alcotest.check_raises "non power of two"
-    (Invalid_argument "Fft: length must be a power of two") (fun () ->
-      Fft.forward ~re:(Array.make 12 0.0) ~im:(Array.make 12 0.0))
+    (Invalid_argument "Fft.make_plan: size must be a power of two") (fun () ->
+      Fft.forward_ip (Fft.make_plan 12) ~re:(Array.make 12 0.0)
+        ~im:(Array.make 12 0.0))
 
 let test_fft_plan_matches_naive_dft () =
   (* The in-place planned transform against the O(n^2) reference, at
@@ -159,7 +163,7 @@ let test_convolution_identity () =
 let test_convolution_commutative () =
   let a = Array.init 13 (fun _ -> next_float ()) in
   let b = Array.init 29 (fun _ -> next_float ()) in
-  let ab = Convolution.auto a b and ba = Convolution.auto b a in
+  let ab = Convolution.fft a b and ba = Convolution.fft b a in
   Array.iteri (fun i v -> check_close ~eps:1e-10 "commute" v ba.(i)) ab
 
 let test_convolution_preserves_mass () =
@@ -173,18 +177,19 @@ let test_convolution_preserves_mass () =
 
 let test_convolution_plan_matches () =
   let kernel = Array.init 201 (fun _ -> next_float ()) in
-  let plan = Convolution.make_plan ~kernel ~max_signal:100 in
+  let plan = Convolution.make_real_plan ~kernel ~max_signal:100 () in
   let signal = Array.init 77 (fun _ -> next_float ()) in
   let expected = Convolution.direct signal kernel in
-  let got = Convolution.convolve_plan plan signal in
-  Alcotest.(check int) "length" (Array.length expected) (Array.length got);
+  let got = Array.make (Array.length expected) 0.0 in
+  Convolution.execute_real plan signal ~dst:got;
   Array.iteri (fun i v -> check_close ~eps:1e-10 "plan cell" v got.(i)) expected
 
 let test_convolution_plan_rejects_long_signal () =
-  let plan = Convolution.make_plan ~kernel:[| 1.0 |] ~max_signal:4 in
+  let plan = Convolution.make_real_plan ~kernel:[| 1.0 |] ~max_signal:4 () in
   Alcotest.check_raises "too long"
-    (Invalid_argument "Convolution.convolve_plan: signal longer than plan")
-    (fun () -> ignore (Convolution.convolve_plan plan (Array.make 5 0.0)))
+    (Invalid_argument "Convolution.execute_real: signal longer than plan")
+    (fun () ->
+      Convolution.execute_real plan (Array.make 5 0.0) ~dst:(Array.make 5 0.0))
 
 let test_convolution_direct_into_matches () =
   let a = Array.init 33 (fun _ -> next_float () -. 0.4) in
@@ -202,75 +207,17 @@ let test_convolution_direct_into_matches () =
 
 let test_convolution_execute_into_matches () =
   let kernel = Array.init 129 (fun _ -> next_float ()) in
-  let plan = Convolution.make_plan ~kernel ~max_signal:64 in
+  let plan = Convolution.make_real_plan ~kernel ~max_signal:64 () in
   let signal = Array.init 64 (fun _ -> next_float ()) in
   let expected = Convolution.direct signal kernel in
   let dst = Array.make (Array.length expected) 0.0 in
-  Convolution.execute plan signal ~dst;
+  Convolution.execute_real plan signal ~dst;
   Array.iteri
     (fun i v -> check_close ~eps:1e-10 "execute cell" v dst.(i))
     expected;
   Alcotest.check_raises "dst too short"
-    (Invalid_argument "Convolution.execute: dst too short") (fun () ->
-      Convolution.execute plan signal ~dst:(Array.make 10 0.0))
-
-let test_convolution_dual_matches_direct () =
-  (* One packed transform must reproduce two independent schoolbook
-     convolutions, at the exact shapes the Lindley step uses. *)
-  let m = 48 in
-  let ka = Array.init ((2 * m) + 1) (fun _ -> next_float () -. 0.5) in
-  let kb = Array.init ((2 * m) + 1) (fun _ -> next_float () -. 0.5) in
-  let plan =
-    Convolution.make_dual_plan ~kernel_a:ka ~kernel_b:kb ~max_signal:(m + 1)
-  in
-  let a = Array.init (m + 1) (fun _ -> next_float ()) in
-  let b = Array.init (m + 1) (fun _ -> next_float ()) in
-  let expect_a = Convolution.direct a ka in
-  let expect_b = Convolution.direct b kb in
-  let dst_a = Array.make (Array.length expect_a) 0.0 in
-  let dst_b = Array.make (Array.length expect_b) 0.0 in
-  Convolution.execute_dual plan ~a ~b ~dst_a ~dst_b;
-  Array.iteri
-    (fun i v -> check_close ~eps:1e-10 "channel a" v dst_a.(i))
-    expect_a;
-  Array.iteri
-    (fun i v -> check_close ~eps:1e-10 "channel b" v dst_b.(i))
-    expect_b
-
-let test_convolution_dual_different_kernel_lengths () =
-  (* The two channels may carry kernels of different lengths. *)
-  let ka = Array.init 7 (fun _ -> next_float ()) in
-  let kb = Array.init 19 (fun _ -> next_float ()) in
-  let plan = Convolution.make_dual_plan ~kernel_a:ka ~kernel_b:kb ~max_signal:10 in
-  let a = Array.init 10 (fun _ -> next_float ()) in
-  let b = Array.init 5 (fun _ -> next_float ()) in
-  let expect_a = Convolution.direct a ka in
-  let expect_b = Convolution.direct b kb in
-  let dst_a = Array.make (Array.length expect_a) 0.0 in
-  let dst_b = Array.make (Array.length expect_b) 0.0 in
-  Convolution.execute_dual plan ~a ~b ~dst_a ~dst_b;
-  Array.iteri
-    (fun i v -> check_close ~eps:1e-10 "channel a" v dst_a.(i))
-    expect_a;
-  Array.iteri
-    (fun i v -> check_close ~eps:1e-10 "channel b" v dst_b.(i))
-    expect_b
-
-let test_convolution_dual_rejects_bad_input () =
-  let plan =
-    Convolution.make_dual_plan ~kernel_a:[| 1.0 |] ~kernel_b:[| 1.0 |]
-      ~max_signal:4
-  in
-  let ok = Array.make 4 0.0 in
-  Alcotest.check_raises "signal too long"
-    (Invalid_argument "Convolution.execute_dual: signal longer than plan")
-    (fun () ->
-      Convolution.execute_dual plan ~a:(Array.make 5 0.0) ~b:ok ~dst_a:ok
-        ~dst_b:ok);
-  Alcotest.check_raises "dst too short"
-    (Invalid_argument "Convolution.execute_dual: dst too short") (fun () ->
-      Convolution.execute_dual plan ~a:ok ~b:ok ~dst_a:(Array.make 1 0.0)
-        ~dst_b:ok)
+    (Invalid_argument "Convolution.execute_real: dst too short") (fun () ->
+      Convolution.execute_real plan signal ~dst:(Array.make 10 0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Special functions *)
@@ -769,8 +716,9 @@ let prop_fft_roundtrip =
     (fun xs ->
       let re = Array.of_list xs and im = Array.make 32 0.0 in
       let orig = Array.copy re in
-      Fft.forward ~re ~im;
-      Fft.inverse ~re ~im;
+      let plan = Fft.make_plan 32 in
+      Fft.forward_ip plan ~re ~im;
+      Fft.inverse_ip plan ~re ~im;
       Array.for_all2
         (fun a b -> Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a))
         orig re)
@@ -797,35 +745,6 @@ let prop_planned_fft_matches_naive =
              > 1e-9 *. (1.0 +. Float.abs expect_im.(k))
         then ok := false
       done;
-      !ok)
-
-let prop_dual_convolution_matches_direct =
-  QCheck.Test.make ~name:"dual-channel convolution matches two direct calls"
-    ~count:40
-    QCheck.(
-      pair (int_range 1 24)
-        (list_of_size (Gen.return 200) (float_range 0.0 1.0)))
-    (fun (m, xs) ->
-      let data = Array.of_list xs in
-      let take pos len = Array.sub data pos len in
-      let nk = (2 * m) + 1 in
-      let ka = take 0 nk and kb = take nk nk in
-      let a = take (2 * nk) (m + 1) and b = take ((2 * nk) + m + 1) (m + 1) in
-      let plan =
-        Convolution.make_dual_plan ~kernel_a:ka ~kernel_b:kb
-          ~max_signal:(m + 1)
-      in
-      let expect_a = Convolution.direct a ka in
-      let expect_b = Convolution.direct b kb in
-      let dst_a = Array.make (Array.length expect_a) 0.0 in
-      let dst_b = Array.make (Array.length expect_b) 0.0 in
-      Convolution.execute_dual plan ~a ~b ~dst_a ~dst_b;
-      let close x y = Float.abs (x -. y) <= 1e-9 *. (1.0 +. Float.abs x) in
-      let ok = ref true in
-      Array.iteri (fun i v -> if not (close v dst_a.(i)) then ok := false)
-        expect_a;
-      Array.iteri (fun i v -> if not (close v dst_b.(i)) then ok := false)
-        expect_b;
       !ok)
 
 let prop_convolution_linear =
@@ -971,12 +890,6 @@ let () =
             test_convolution_direct_into_matches;
           Alcotest.test_case "execute into dst matches" `Quick
             test_convolution_execute_into_matches;
-          Alcotest.test_case "dual-channel matches direct" `Quick
-            test_convolution_dual_matches_direct;
-          Alcotest.test_case "dual-channel uneven kernels" `Quick
-            test_convolution_dual_different_kernel_lengths;
-          Alcotest.test_case "dual-channel rejects bad input" `Quick
-            test_convolution_dual_rejects_bad_input;
         ] );
       ( "special",
         [
@@ -1060,7 +973,6 @@ let () =
           [
             prop_fft_roundtrip;
             prop_planned_fft_matches_naive;
-            prop_dual_convolution_matches_direct;
             prop_convolution_linear;
             prop_erf_monotone;
             prop_kahan_close_to_sorted_sum;

@@ -205,6 +205,34 @@ let test_ext_packet_deterministic_across_pools () =
   Alcotest.(check string) "ext-packet at jobs=2" (table ~jobs:1)
     (table ~jobs:2)
 
+(* The spectral estimators run on each domain's cached Fft.Real plans:
+   whichever domain runs an estimate, on a cold or a warm plan, its
+   floats are bitwise those of a sequential run.  Each length appears
+   twice, and 1000/1024 share a transform size, so tasks also reuse
+   plans another estimate has just used. *)
+let test_estimators_deterministic_across_domains () =
+  let bits = Array.map Int64.bits_of_float in
+  let estimate n =
+    let rng = Lrd_rng.Rng.create ~seed:(Int64.of_int n) in
+    let x = Lrd_trace.Fgn.davies_harte rng ~hurst:0.8 ~n in
+    let acf = Lrd_stats.Autocorr.autocorrelation x ~max_lag:(n / 2) in
+    let w = Lrd_stats.Whittle.local_whittle x in
+    let g = Lrd_stats.Hurst.gph x in
+    ( bits acf,
+      bits [| w.Lrd_stats.Whittle.hurst; w.Lrd_stats.Whittle.objective |],
+      bits (Array.concat [ [| g.Lrd_stats.Hurst.hurst |]; g.xs; g.ys ]) )
+  in
+  let lengths = [| 700; 1000; 1024; 3000; 700; 1024; 3000; 1000 |] in
+  let sequential = Array.map estimate lengths in
+  Pool.with_pool ~workers:2 (fun pool ->
+      Array.iteri
+        (fun i got ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d bitwise" lengths.(i))
+            true
+            (got = sequential.(i)))
+        (Pool.map pool estimate lengths))
+
 (* ------------------------------------------------------------------ *)
 (* Workload cache: exactly one model + one workload entry per distinct
    key, every other lookup a hit, and cached solves bitwise-equal to
@@ -348,6 +376,8 @@ let () =
             test_fig7_deterministic_across_pools;
           Alcotest.test_case "ext-packet across pool sizes" `Slow
             test_ext_packet_deterministic_across_pools;
+          Alcotest.test_case "estimators across domains" `Quick
+            test_estimators_deterministic_across_domains;
         ] );
       ( "cache",
         [

@@ -54,68 +54,51 @@ let test_linear_regression_rejects_degenerate () =
 (* Autocorrelation *)
 
 let test_autocovariance_fft_matches_direct () =
-  (* The workspace always takes the FFT path, so comparing it against
-     the direct loop exercises the Wiener-Khinchin route even at lag
-     counts where the one-shot crossover would choose direct. *)
+  (* The shared half-spectrum against the O(n^2) DFT of the demeaned,
+     zero-padded series at the ACF's transform size (n = 700 is not a
+     power of two, so the padding is exercised), then the
+     Wiener-Khinchin lags it feeds against the direct loop (max_lag 400
+     is past the crossover, so the one-shot takes the FFT branch). *)
   let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
-  let fft = Autocorr.Workspace.autocovariance ws a ~max_lag:50 in
-  let direct = Autocorr.autocovariance_direct a ~max_lag:50 in
+  let size = 2048 in
+  let power = Half_spectrum.power ~size a in
+  Alcotest.(check int) "bins" ((size / 2) + 1) (Array.length power);
+  let mean = Lrd_numerics.Array_ops.mean a in
+  let re = Array.make size 0.0 and im = Array.make size 0.0 in
+  Array.iteri (fun i v -> re.(i) <- v -. mean) a;
+  let xre, xim = Lrd_numerics.Fft.dft_naive ~re ~im in
+  let expected = Array.init ((size / 2) + 1) (fun k ->
+      (xre.(k) *. xre.(k)) +. (xim.(k) *. xim.(k)))
+  in
+  let peak = Array.fold_left Float.max 0.0 expected in
+  Array.iteri
+    (fun k v ->
+      if Float.abs (power.(k) -. v) > 1e-12 *. peak then
+        Alcotest.failf "bin %d: expected %.17g, got %.17g" k v power.(k))
+    expected;
+  let fft = Autocorr.autocovariance a ~max_lag:400 in
+  let direct = Autocorr.autocovariance_direct a ~max_lag:400 in
   Array.iteri
     (fun k v -> check_close ~eps:1e-9 (Printf.sprintf "lag %d" k) v fft.(k))
     direct
 
 let test_autocovariance_crossover_both_exact () =
   (* Either side of the centralized crossover gives the same numbers up
-     to rounding: small max_lag (one-shot goes direct) against the
-     workspace FFT, and large max_lag (one-shot goes FFT) against the
+     to rounding: small max_lag (one-shot goes direct) against a prefix
+     of the FFT lags, and large max_lag (one-shot goes FFT) against the
      direct loop. *)
   let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
   let small = Autocorr.autocovariance a ~max_lag:2 in
-  let small_fft = Autocorr.Workspace.autocovariance ws a ~max_lag:2 in
+  let big = Autocorr.autocovariance a ~max_lag:600 in
   Array.iteri
     (fun k v ->
-      check_close ~eps:1e-9 (Printf.sprintf "small lag %d" k) v small_fft.(k))
+      check_close ~eps:1e-9 (Printf.sprintf "small lag %d" k) v big.(k))
     small;
-  let big = Autocorr.autocovariance a ~max_lag:600 in
   let big_direct = Autocorr.autocovariance_direct a ~max_lag:600 in
   Array.iteri
     (fun k v ->
-      check_close ~eps:1e-9 (Printf.sprintf "big lag %d" k) v big_direct.(k))
-    big
-
-let test_autocorr_workspace_bit_identical () =
-  (* At a lag count where the one-shot path takes the FFT branch, the
-     workspace result must be bitwise the same array of floats — the two
-     paths share the core loop, so any drift is a real bug. *)
-  let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
-  Alcotest.(check int) "size" 2048 (Autocorr.Workspace.size ws);
-  let oneshot = Autocorr.autocovariance a ~max_lag:400 in
-  Alcotest.(check bool) "acv bitwise" true
-    (oneshot = Autocorr.Workspace.autocovariance ws a ~max_lag:400);
-  (* Reuse after a different series: scratch carries no state. *)
-  let b = Array.map (fun v -> v *. 3.0) a in
-  ignore (Autocorr.Workspace.autocovariance ws b ~max_lag:10);
-  Alcotest.(check bool) "acv bitwise after reuse" true
-    (oneshot = Autocorr.Workspace.autocovariance ws a ~max_lag:400);
-  Alcotest.(check bool) "acf bitwise" true
-    (Autocorr.autocorrelation a ~max_lag:400
-    = Autocorr.Workspace.autocorrelation ws a ~max_lag:400);
-  (* The domain arena hands back a workspace of the same size. *)
-  let dw = Autocorr.domain_workspace ~n:700 in
-  Alcotest.(check bool) "domain workspace bitwise" true
-    (oneshot = Autocorr.Workspace.autocovariance dw a ~max_lag:400);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Autocorr.Workspace: series does not match the workspace size")
-    (fun () ->
-      ignore (Autocorr.Workspace.autocovariance ws (white_noise 3000) ~max_lag:5));
-  Alcotest.check_raises "dst too short"
-    (Invalid_argument "Autocorr.Workspace: dst too short") (fun () ->
-      Autocorr.Workspace.autocovariance_into ws a ~max_lag:10
-        ~dst:(Array.make 5 0.0))
+      check_close ~eps:1e-9 (Printf.sprintf "big lag %d" k) v big.(k))
+    big_direct
 
 let test_autocorrelation_normalized () =
   let a = white_noise 4096 in
@@ -306,52 +289,6 @@ let test_whittle_rejects_short () =
   Alcotest.check_raises "short"
     (Invalid_argument "Whittle.local_whittle: series too short") (fun () ->
       ignore (Whittle.local_whittle (white_noise 32)))
-
-let test_whittle_workspace_bit_identical () =
-  let data = fgn 0.8 10_000 in
-  let oneshot = Whittle.local_whittle data in
-  let ws = Whittle.Workspace.make ~n:10_000 in
-  Alcotest.(check int) "size" 16_384 (Whittle.Workspace.size ws);
-  Alcotest.(check bool) "fit bitwise" true
-    (oneshot = Whittle.Workspace.local_whittle ws data);
-  (* A second call reuses the scratch and still reproduces the fit, and
-     an explicit bandwidth threads through identically. *)
-  Alcotest.(check bool) "fit bitwise on reuse" true
-    (oneshot = Whittle.Workspace.local_whittle ws data);
-  Alcotest.(check bool) "bandwidth bitwise" true
-    (Whittle.local_whittle ~frequencies:128 data
-    = Whittle.Workspace.local_whittle ws ~frequencies:128 data);
-  let dw = Whittle.domain_workspace ~n:10_000 in
-  Alcotest.(check bool) "domain workspace bitwise" true
-    (oneshot = Whittle.Workspace.local_whittle dw data);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Whittle.Workspace: series does not match the workspace size")
-    (fun () -> ignore (Whittle.Workspace.local_whittle ws (fgn 0.8 1024)));
-  Alcotest.check_raises "short series"
-    (Invalid_argument "Whittle.local_whittle: series too short") (fun () ->
-      ignore (Whittle.Workspace.local_whittle ws (white_noise 32)));
-  Alcotest.check_raises "workspace too small"
-    (Invalid_argument "Whittle.Workspace.make: n must be at least 64")
-    (fun () -> ignore (Whittle.Workspace.make ~n:32))
-
-let test_spectral_workspace_bit_identical () =
-  let data = fgn 0.7 5_000 in
-  let oneshot = Spectral.periodogram data in
-  let ws = Spectral.Workspace.make ~n:5_000 in
-  Alcotest.(check int) "size" 8192 (Spectral.Workspace.size ws);
-  let planned = Spectral.Workspace.periodogram ws data in
-  Alcotest.(check bool) "frequencies bitwise" true
-    (oneshot.Spectral.frequencies = planned.Spectral.frequencies);
-  Alcotest.(check bool) "power bitwise" true
-    (oneshot.Spectral.power = planned.Spectral.power);
-  let again = Spectral.Workspace.periodogram ws data in
-  Alcotest.(check bool) "power bitwise on reuse" true
-    (oneshot.Spectral.power = again.Spectral.power);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Spectral.Workspace: series does not match the workspace size")
-    (fun () -> ignore (Spectral.Workspace.periodogram ws (white_noise 512)))
 
 let test_estimators_reject_short_series () =
   Alcotest.check_raises "aggvar short"
@@ -571,8 +508,6 @@ let () =
             test_autocovariance_fft_matches_direct;
           Alcotest.test_case "crossover both exact" `Quick
             test_autocovariance_crossover_both_exact;
-          Alcotest.test_case "workspace bit-identical" `Quick
-            test_autocorr_workspace_bit_identical;
           Alcotest.test_case "normalization" `Quick
             test_autocorrelation_normalized;
           Alcotest.test_case "AR(1) geometric decay" `Slow
@@ -616,8 +551,6 @@ let () =
             test_whittle_bandwidth_control;
           Alcotest.test_case "rejects short series" `Quick
             test_whittle_rejects_short;
-          Alcotest.test_case "workspace bit-identical" `Slow
-            test_whittle_workspace_bit_identical;
         ] );
       ( "spectral",
         [
@@ -631,8 +564,6 @@ let () =
             test_fgn_spectrum_integrates_to_variance;
           Alcotest.test_case "rejects bad input" `Quick
             test_spectra_reject_bad_input;
-          Alcotest.test_case "workspace bit-identical" `Quick
-            test_spectral_workspace_bit_identical;
         ] );
       ( "batch-means",
         [
