@@ -145,8 +145,8 @@ let micro_tests ctx =
       Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
     in
     let s =
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c
-        ~buffer:(buffer_seconds *. c) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c
+        ~buffers:[| buffer_seconds *. c |]
     in
     ignore (Lrd_fluidsim.Queue_sim.run_trace s trace)
   in
@@ -279,6 +279,26 @@ let micro_tests ctx =
           in
           let trace = Lrd_trace.Trace.create ~rates ~slot:0.01 in
           sim trace ~utilization:0.8 ~buffer_seconds:0.5);
+      mk "kernel/queue-sim-multi-buffer"
+        (* fig7's shape: one pass over 100k slots drives a lane for each
+           of the 7 full-size buffers. *)
+        (let r = rng () in
+         let trace =
+           Lrd_trace.Trace.create
+             ~rates:(Array.init 100_000 (fun _ -> Lrd_rng.Rng.float r *. 2.0))
+             ~slot:0.01
+         in
+         let c =
+           Lrd_trace.Trace.service_rate_for_utilization trace ~utilization:0.8
+         in
+         let buffers =
+           Array.map (fun b -> b *. c) (Sweep.buffers ~quick:false ())
+         in
+         fun () ->
+           ignore
+             (Lrd_fluidsim.Queue_sim.run_trace
+                (Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers)
+                trace));
       mk "kernel/erf-inv" (fun () ->
           ignore (Lrd_numerics.Special.erf_inv 0.123));
       mk "kernel/fgn-plan-16k"

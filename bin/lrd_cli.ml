@@ -10,9 +10,11 @@
 
 open Cmdliner
 
+(* A malformed file, and a well-formed one whose rates [Trace.create]
+   rejects (negative, nan), are both command errors (exit 2). *)
 let read_trace path =
   try Ok (Lrd_trace.Trace_io.load ~path)
-  with Failure msg | Sys_error msg -> Error msg
+  with Failure msg | Sys_error msg | Invalid_argument msg -> Error msg
 
 let builtin_marginal ctx = function
   | "mtv" -> Ok (Lrd_experiments.Data.mtv_marginal ctx)
@@ -436,34 +438,37 @@ let hurst_cmd =
   let run path =
     match read_trace path with
     | Error msg -> `Error (false, msg)
-    | Ok trace ->
-        let rates = trace.Lrd_trace.Trace.rates in
-        let report name (fit : Lrd_stats.Hurst.fit) =
-          Format.printf "%-24s H = %.3f (slope %.3f over %d points)@." name
-            fit.Lrd_stats.Hurst.hurst fit.Lrd_stats.Hurst.slope
-            (Array.length fit.Lrd_stats.Hurst.xs)
-        in
-        report "aggregated variance" (Lrd_stats.Hurst.aggregated_variance rates);
-        report "rescaled range (R/S)" (Lrd_stats.Hurst.rescaled_range rates);
-        report "GPH log-periodogram" (Lrd_stats.Hurst.gph rates);
-        report "Abry-Veitch wavelet" (Lrd_stats.Hurst.abry_veitch rates);
-        let whittle = Lrd_stats.Whittle.local_whittle rates in
-        Format.printf "%-24s H = %.3f (d = %.3f over %d frequencies)@."
-          "local Whittle" whittle.Lrd_stats.Whittle.hurst
-          whittle.Lrd_stats.Whittle.memory
-          whittle.Lrd_stats.Whittle.frequencies;
-        Format.printf "mean rate-residence epoch (50 bins): %.4g s@."
-          (Lrd_trace.Epochs.mean_epoch_duration ~bins:50 trace);
-        Format.printf
-          "@.logscale diagram (log2 energy per octave, 95%% bands):@.";
-        Array.iter
-          (fun p ->
-            Format.printf "  octave %2d: %8.3f  [%7.3f, %7.3f]  (%d coeffs)@."
-              p.Lrd_stats.Hurst.octave p.Lrd_stats.Hurst.log2_energy
-              p.Lrd_stats.Hurst.ci_low p.Lrd_stats.Hurst.ci_high
-              p.Lrd_stats.Hurst.coefficients)
-          (Lrd_stats.Hurst.logscale_diagram rates);
-        `Ok ()
+    | Ok trace -> (
+        (* A trace too short for an estimator is a command error. *)
+        try
+          let rates = trace.Lrd_trace.Trace.rates in
+          let report name (fit : Lrd_stats.Hurst.fit) =
+            Format.printf "%-24s H = %.3f (slope %.3f over %d points)@." name
+              fit.Lrd_stats.Hurst.hurst fit.Lrd_stats.Hurst.slope
+              (Array.length fit.Lrd_stats.Hurst.xs)
+          in
+          report "aggregated variance" (Lrd_stats.Hurst.aggregated_variance rates);
+          report "rescaled range (R/S)" (Lrd_stats.Hurst.rescaled_range rates);
+          report "GPH log-periodogram" (Lrd_stats.Hurst.gph rates);
+          report "Abry-Veitch wavelet" (Lrd_stats.Hurst.abry_veitch rates);
+          let whittle = Lrd_stats.Whittle.local_whittle rates in
+          Format.printf "%-24s H = %.3f (d = %.3f over %d frequencies)@."
+            "local Whittle" whittle.Lrd_stats.Whittle.hurst
+            whittle.Lrd_stats.Whittle.memory
+            whittle.Lrd_stats.Whittle.frequencies;
+          Format.printf "mean rate-residence epoch (50 bins): %.4g s@."
+            (Lrd_trace.Epochs.mean_epoch_duration ~bins:50 trace);
+          Format.printf
+            "@.logscale diagram (log2 energy per octave, 95%% bands):@.";
+          Array.iter
+            (fun p ->
+              Format.printf "  octave %2d: %8.3f  [%7.3f, %7.3f]  (%d coeffs)@."
+                p.Lrd_stats.Hurst.octave p.Lrd_stats.Hurst.log2_energy
+                p.Lrd_stats.Hurst.ci_low p.Lrd_stats.Hurst.ci_high
+                p.Lrd_stats.Hurst.coefficients)
+            (Lrd_stats.Hurst.logscale_diagram rates);
+          `Ok ()
+        with Invalid_argument msg | Failure msg -> `Error (false, msg))
   in
   let doc = "estimate the Hurst parameter of a trace, four ways" in
   Cmd.v (Cmd.info "hurst" ~doc) Term.(ret (const run $ file_arg))
@@ -496,9 +501,9 @@ let simulate_cmd =
           Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
         in
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(buffer *. c) ()
+          Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer *. c |]
         in
-        let stats = Lrd_fluidsim.Queue_sim.run_trace sim trace in
+        let stats = (Lrd_fluidsim.Queue_sim.run_trace sim trace).(0) in
         Format.printf
           "loss rate %.6g (lost %.6g of %.6g work; achieved utilization \
            %.4f; max occupancy %.4g of %.4g)@."
@@ -554,9 +559,9 @@ let fit_cmd =
           Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
         in
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(buffer *. c) ()
+          Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer *. c |]
         in
-        let stats = Lrd_fluidsim.Queue_sim.run_trace sim trace in
+        let stats = (Lrd_fluidsim.Queue_sim.run_trace sim trace).(0) in
         Format.printf "  trace-driven simulation: %.4g@."
           (Lrd_fluidsim.Queue_sim.loss_rate stats);
         `Ok ()

@@ -52,13 +52,13 @@ let () =
             Lrd_trace.Shuffle.external_shuffle rng trace ~block
       in
       let sim =
-        Lrd_fluidsim.Queue_sim.make ~service_rate:c
-          ~buffer:(buffer_seconds *. c) ()
+        Lrd_fluidsim.Queue_sim.create ~service_rate:c
+          ~buffers:[| buffer_seconds *. c |]
       in
       let losses, stats =
         Lrd_fluidsim.Queue_sim.losses_per_slot sim shuffled
       in
-      let lossy = Array.map (fun l -> l > 0.0) losses in
+      let lossy = Array.map (fun l -> l > 0.0) losses.(0) in
       let n = Array.length lossy in
       let lossy_count =
         Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 lossy
@@ -94,7 +94,7 @@ let () =
         (match cutoff_seconds with
         | None -> "inf"
         | Some tc -> Printf.sprintf "%g" tc)
-        (Lrd_fluidsim.Queue_sim.loss_rate stats)
+        (Lrd_fluidsim.Queue_sim.loss_rate stats.(0))
         lossy_count fec_failure arq_rounds_per_loss)
     [ Some 0.1; Some 1.0; Some 10.0; None ];
   Format.printf

@@ -52,11 +52,11 @@ let () =
       in
       let simulate t =
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c
-            ~buffer:(buffer_seconds *. c) ()
+          Lrd_fluidsim.Queue_sim.create ~service_rate:c
+            ~buffers:[| buffer_seconds *. c |]
         in
         Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim t)
+          (Lrd_fluidsim.Queue_sim.run_trace sim t).(0)
       in
       let measured = simulate trace in
       (* Cut correlation at the eq. 26 horizon: if the horizon is real,

@@ -50,8 +50,11 @@ let () =
      sampled path. *)
   let rng = Lrd_rng.Rng.create ~seed:1L in
   let epochs = Lrd_core.Model.sample_epochs model rng ~n:500_000 in
-  let sim = Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:c () in
-  let stats = Lrd_fluidsim.Queue_sim.run_epochs sim (Array.to_seq epochs) in
+  let sim = Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| c |] in
+  let stats =
+    (Lrd_fluidsim.Queue_sim.run sim ~rates:(Array.map fst epochs)
+       ~durations:(Array.map snd epochs)).(0)
+  in
   let solver =
     Lrd_core.Solver.solve_utilization model ~utilization:0.8
       ~buffer_seconds:1.0

@@ -52,10 +52,10 @@ let () =
   in
   let fifo =
     let sim =
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(2.0 *. buffer) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| 2.0 *. buffer |]
     in
     Lrd_fluidsim.Queue_sim.loss_rate
-      (Lrd_fluidsim.Queue_sim.run_trace sim mixed)
+      (Lrd_fluidsim.Queue_sim.run_trace sim mixed).(0)
   in
   Format.printf "%-22s %12s %12s@." "discipline" "video loss" "bg loss";
   Format.printf "%-22s %12s %12s@." "fifo (shared queue)"

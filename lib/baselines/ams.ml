@@ -245,13 +245,15 @@ let sample_epochs t rng ~n =
   let pi = stationary t in
   let table = Lrd_rng.Sampler.discrete_of_weights pi in
   let state = ref (Lrd_rng.Sampler.discrete_draw rng table) in
-  Array.init n (fun _ ->
-      let j = !state in
-      let birth = float_of_int (t.sources - j) *. t.lambda in
-      let death = float_of_int j *. t.mu in
-      let total = birth +. death in
-      let holding = Lrd_rng.Sampler.exponential rng ~rate:total in
-      let rate = float_of_int j *. t.on_rate in
-      (* Jump up with probability birth/total. *)
-      state := (if Lrd_rng.Rng.float rng < birth /. total then j + 1 else j - 1);
-      (rate, holding))
+  let rates = Array.make n 0.0 and durations = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let j = !state in
+    let birth = float_of_int (t.sources - j) *. t.lambda in
+    let death = float_of_int j *. t.mu in
+    let total = birth +. death in
+    durations.(i) <- Lrd_rng.Sampler.exponential rng ~rate:total;
+    rates.(i) <- float_of_int j *. t.on_rate;
+    (* Jump up with probability birth/total. *)
+    state := (if Lrd_rng.Rng.float rng < birth /. total then j + 1 else j - 1)
+  done;
+  (rates, durations)

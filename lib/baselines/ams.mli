@@ -73,7 +73,8 @@ val finite_buffer_loss : t -> buffer:float -> float
     @raise Invalid_argument unless [buffer > 0]. *)
 
 val sample_epochs :
-  t -> Lrd_rng.Rng.t -> n:int -> (float * float) array
-(** Exact CTMC sample path of the aggregate rate: [n] epochs of
-    [(rate, exponential holding time)], started from the stationary
-    distribution — for Monte Carlo validation of the spectral result. *)
+  t -> Lrd_rng.Rng.t -> n:int -> float array * float array
+(** Exact CTMC sample path of the aggregate rate: [n] epochs as
+    [(rates, holding times)] — epoch [i] holds rate [rates.(i)] for an
+    exponential time [holding_times.(i)] — started from the stationary
+    distribution, for Monte Carlo validation of the spectral result. *)

@@ -36,26 +36,26 @@ let run ctx fmt =
   let bin_trace = Lrd_baselines.Markov_chain.generate bin_chain rng ~slots ~slot in
   let c = Lrd_trace.Trace.service_rate_for_utilization trace ~utilization in
   let buffers = Sweep.buffers ~quick:(Data.quick ctx) () in
-  let losses t =
-    (* The traces above are generated sequentially from the shared rng;
-       only the (deterministic) queue runs are spread over the pool. *)
+  (* The traces above are generated sequentially from the shared rng;
+     only the (deterministic) queue passes, one per trace with a lane per
+     buffer, are spread over the pool. *)
+  let losses =
     Sweep.map ?pool:(Data.pool ctx)
-      (fun buffer_seconds ->
-        let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c
-            ~buffer:(buffer_seconds *. c) ()
-        in
-        Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim t))
-      buffers
+      (fun t ->
+        Array.map Lrd_fluidsim.Queue_sim.loss_rate
+          (Lrd_fluidsim.Queue_sim.run_trace
+             (Lrd_fluidsim.Queue_sim.create ~service_rate:c
+                ~buffers:(Array.map (fun b -> b *. c) buffers))
+             t))
+      [| trace; dar_trace; ms_trace; bin_trace |]
   in
   Table.print_multi_series fmt ~title ~xlabel:"buffer_s" ~ylabel:"loss rate"
     ~xs:buffers
     [
-      ("lrd-trace", losses trace);
-      ("dar1", losses dar_trace);
-      ("multiscale", losses ms_trace);
-      ("bin-chain", losses bin_trace);
+      ("lrd-trace", losses.(0));
+      ("dar1", losses.(1));
+      ("multiscale", losses.(2));
+      ("bin-chain", losses.(3));
     ];
   Format.fprintf fmt
     "(DAR(1) lag-1 rho = %.3f; multiscale: %d on/off layers over %d-slot \

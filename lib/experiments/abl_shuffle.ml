@@ -19,10 +19,11 @@ let run ctx fmt =
   let c = Lrd_trace.Trace.service_rate_for_utilization trace ~utilization in
   let loss t =
     let sim =
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c
-        ~buffer:(buffer_seconds *. c) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c
+        ~buffers:[| buffer_seconds *. c |]
     in
-    Lrd_fluidsim.Queue_sim.loss_rate (Lrd_fluidsim.Queue_sim.run_trace sim t)
+    Lrd_fluidsim.Queue_sim.loss_rate
+      (Lrd_fluidsim.Queue_sim.run_trace sim t).(0)
   in
   let blocks =
     if Data.quick ctx then [| 8; 64; 512 |] else [| 4; 16; 64; 256; 1024; 4096 |]

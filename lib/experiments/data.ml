@@ -17,6 +17,7 @@ type t = {
   bc_marginal : Lrd_dist.Marginal.t Lazy.t;
   mtv_mean_epoch : float Lazy.t;
   bc_mean_epoch : float Lazy.t;
+  mtv_shuffled_losses : float array array Lazy.t;
 }
 
 let mtv_hurst = 0.83
@@ -57,6 +58,14 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
   let epoch trace =
     lazy (Lrd_trace.Epochs.mean_epoch_duration ~bins:50 (Lazy.force trace))
   in
+  (* Forced under the lock like the others; its pool tasks only shuffle
+     and simulate, so they never reach for the lock themselves. *)
+  let mtv_shuffled_losses =
+    lazy
+      (Sweep.shuffled_losses ?pool ~seed (Lazy.force mtv)
+         ~utilization:mtv_utilization ~buffers:(Sweep.buffers ~quick ())
+         ~cutoffs:(Sweep.cutoffs ~quick ()))
+  in
   {
     quick;
     seed;
@@ -72,6 +81,7 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
     bc_marginal = marginal bellcore;
     mtv_mean_epoch = epoch mtv;
     bc_mean_epoch = epoch bellcore;
+    mtv_shuffled_losses;
   }
 
 let quick t = t.quick
@@ -92,6 +102,7 @@ let mtv_marginal t = force t t.mtv_marginal
 let bc_marginal t = force t t.bc_marginal
 let mtv_mean_epoch t = force t t.mtv_mean_epoch
 let bc_mean_epoch t = force t t.bc_mean_epoch
+let mtv_shuffled_losses t = force t t.mtv_shuffled_losses
 
 let theta_for ~mean_epoch ~hurst =
   Lrd_dist.Interarrival.theta_for_mean_epoch ~mean_epoch

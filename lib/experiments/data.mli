@@ -87,6 +87,12 @@ val mtv_mean_epoch : t -> float
 val bc_mean_epoch : t -> float
 (** Same for the Ethernet trace (paper: ~15 ms). *)
 
+val mtv_shuffled_losses : t -> float array array
+(** The MTV shuffled-trace loss surface at utilization
+    {!mtv_utilization} over the shared buffer and cutoff grids
+    ({!Sweep.shuffled_losses}), computed once per context: fig7, fig14
+    and ext-horizon all read it. *)
+
 val mtv_hurst : float
 (** Nominal Hurst parameter of the video trace (paper: 0.83). *)
 

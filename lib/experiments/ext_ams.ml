@@ -30,7 +30,7 @@ let run ctx fmt =
   in
   let rng = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 91L) in
   let n_epochs = if Data.quick ctx then 400_000 else 2_000_000 in
-  let epochs = Lrd_baselines.Ams.sample_epochs sys rng ~n:n_epochs in
+  let rates, durations = Lrd_baselines.Ams.sample_epochs sys rng ~n:n_epochs in
   Table.heading fmt title;
   Format.fprintf fmt
     "%d exponential on/off sources (rate %g, lambda %g, mu %g), c = %g \
@@ -48,8 +48,9 @@ let run ctx fmt =
   let sim =
     Lrd_fluidsim.Queue_sim.make ~service_rate ~buffer:1e9 ()
   in
-  Array.iter
-    (fun (rate, duration) ->
+  Array.iteri
+    (fun e rate ->
+      let duration = durations.(e) in
       let initial = Lrd_fluidsim.Queue_sim.occupancy sim in
       ignore (Lrd_fluidsim.Queue_sim.offer sim ~rate ~duration);
       total_time := !total_time +. duration;
@@ -60,7 +61,18 @@ let run ctx fmt =
             +. Lrd_fluidsim.Queue_sim.epoch_time_above ~service_rate ~initial
                  ~rate ~duration ~level)
         levels)
-    epochs;
+    rates;
+  (* Finite-buffer loss at B = level, every level as one lane of a
+     single pass over a second, independent path. *)
+  let finite =
+    let rng = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 92L) in
+    let rates, durations =
+      Lrd_baselines.Ams.sample_epochs sys rng ~n:(n_epochs / 2)
+    in
+    Lrd_fluidsim.Queue_sim.run
+      (Lrd_fluidsim.Queue_sim.create ~service_rate ~buffers:levels)
+      ~rates ~durations
+  in
   (* The paper's i.i.d.-redraw model matched to the chain: binomial
      marginal, exponential epochs with the chain's mean holding time. *)
   let marginal =
@@ -95,15 +107,6 @@ let run ctx fmt =
       let exact_loss =
         Lrd_baselines.Ams.finite_buffer_loss sys ~buffer:level
       in
-      (* Finite-buffer loss at B = level on a fresh pass. *)
-      let rng2 = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 92L) in
-      let path = Lrd_baselines.Ams.sample_epochs sys rng2 ~n:(n_epochs / 2) in
-      let finite =
-        Lrd_fluidsim.Queue_sim.make ~service_rate ~buffer:level ()
-      in
-      let stats =
-        Lrd_fluidsim.Queue_sim.run_epochs finite (Array.to_seq path)
-      in
       let redraw =
         (Lrd_core.Solver.solve redraw_model ~service_rate ~buffer:level)
           .Lrd_core.Solver.loss
@@ -112,7 +115,7 @@ let run ctx fmt =
         (Table.cell_value analytic)
         (Table.cell_value empirical)
         (Table.cell_value exact_loss)
-        (Table.cell_value (Lrd_fluidsim.Queue_sim.loss_rate stats))
+        (Table.cell_value (Lrd_fluidsim.Queue_sim.loss_rate finite.(i)))
         (Table.cell_value redraw))
     levels;
   Format.fprintf fmt

@@ -30,10 +30,10 @@ let run ctx fmt =
   in
   let cell ~buffer_seconds ~label input =
     let sim =
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c
-        ~buffer:(buffer_seconds *. c) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c
+        ~buffers:[| buffer_seconds *. c |]
     in
-    let losses, _ = Lrd_fluidsim.Queue_sim.losses_per_slot sim input in
+    let losses = (fst (Lrd_fluidsim.Queue_sim.losses_per_slot sim input)).(0) in
     let interval =
       Lrd_stats.Batch_means.loss_rate_interval ~batches:16 ~losses
         ~arrivals:(slot_arrivals input) ()

@@ -33,10 +33,11 @@ let run ctx fmt =
   let loss t =
     let c = Lrd_trace.Trace.mean t /. utilization in
     let sim =
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c
-        ~buffer:(buffer_seconds *. c) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c
+        ~buffers:[| buffer_seconds *. c |]
     in
-    Lrd_fluidsim.Queue_sim.loss_rate (Lrd_fluidsim.Queue_sim.run_trace sim t)
+    Lrd_fluidsim.Queue_sim.loss_rate
+      (Lrd_fluidsim.Queue_sim.run_trace sim t).(0)
   in
   Format.fprintf fmt
     "video trace; shaped processes served at %.0f%% utilization with a \

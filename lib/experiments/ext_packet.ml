@@ -52,17 +52,15 @@ let run ctx fmt =
     (fun ps -> Format.fprintf fmt " %12s" (Printf.sprintf "pkt %g" ps))
     packet_sizes;
   Format.fprintf fmt "  (loss rate per packet size)@.";
+  let fluid =
+    Lrd_fluidsim.Queue_sim.run_trace
+      (Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:buffer_bits)
+      trace
+  in
   Array.iteri
     (fun b buffer_seconds ->
-      let fluid =
-        let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c
-            ~buffer:buffer_bits.(b) ()
-        in
-        Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim trace)
-      in
-      Format.fprintf fmt "%10g %12s" buffer_seconds (Table.cell_value fluid);
+      Format.fprintf fmt "%10g %12s" buffer_seconds
+        (Table.cell_value (Lrd_fluidsim.Queue_sim.loss_rate fluid.(b)));
       Array.iter
         (fun row -> Format.fprintf fmt " %12s" (Table.cell_value row.(b)))
         losses;

@@ -58,11 +58,11 @@ let run ctx fmt =
       in
       let fifo =
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(2.0 *. buffer)
-            ()
+          Lrd_fluidsim.Queue_sim.create ~service_rate:c
+            ~buffers:[| 2.0 *. buffer |]
         in
         Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim mixed)
+          (Lrd_fluidsim.Queue_sim.run_trace sim mixed).(0)
       in
       Format.fprintf fmt "%12g %12s %12s %14s@." load
         (Table.cell_value (Lrd_fluidsim.Queue_sim.loss_rate high_stats))

@@ -51,9 +51,9 @@ let run ctx fmt =
   let simulate trace c =
     let sim =
       (* A buffer far above every probed level stands in for infinity. *)
-      Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(1e9 *. c) ()
+      Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| 1e9 *. c |]
     in
-    fst (Lrd_fluidsim.Queue_sim.occupancy_per_slot sim trace)
+    (fst (Lrd_fluidsim.Queue_sim.occupancy_per_slot sim trace)).(0)
   in
 
   (* 1. Exponential tail: two-rate source, exponential epochs. *)

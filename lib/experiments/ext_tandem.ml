@@ -54,11 +54,11 @@ let run ctx fmt =
       let hop_loss s = Lrd_fluidsim.Queue_sim.loss_rate s in
       let pooled =
         let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c2
-            ~buffer:(2.0 *. buffer_seconds *. c2) ()
+          Lrd_fluidsim.Queue_sim.create ~service_rate:c2
+            ~buffers:[| 2.0 *. buffer_seconds *. c2 |]
         in
         Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim input)
+          (Lrd_fluidsim.Queue_sim.run_trace sim input).(0)
       in
       match stats with
       | [ hop1; hop2 ] ->

@@ -11,50 +11,24 @@ let title =
   "Fig. 7: shuffled-trace simulation loss vs (buffer, cutoff) - MTV, \
    utilization 0.8"
 
-let surface ctx ~trace ~utilization ~title =
+let table ctx ~title cells =
   let quick = Data.quick ctx in
-  let buffers = Sweep.buffers ~quick () in
-  let cutoffs = Sweep.cutoffs ~quick () in
-  let blocks = Sweep.shuffle_blocks_of_cutoffs trace cutoffs in
-  let rng = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 7L) in
-  (* One shuffle per cutoff, reused across every buffer size (columns of
-     the surface), exactly as a single shuffled trace would be in the
-     paper's simulations.  Each column shuffles with its own stream
-     split off by column index, so the shuffle is the same whether the
-     columns are built sequentially or on the pool. *)
-  let columns =
-    Sweep.map ?pool:(Data.pool ctx)
-      (fun (i, block) ->
-        match block with
-        | None -> trace
-        | Some b ->
-            let rng = Lrd_rng.Rng.split_indexed rng ~index:i in
-            Lrd_trace.Shuffle.external_shuffle rng trace ~block:b)
-      (Array.mapi (fun i (_, block) -> (i, block)) blocks)
-  in
-  let c = Lrd_trace.Trace.service_rate_for_utilization trace ~utilization in
-  let cells =
-    Sweep.psurface ?pool:(Data.pool ctx) ~xs:columns ~ys:buffers
-      ~f:(fun shuffled buffer_seconds ->
-        let sim =
-          Lrd_fluidsim.Queue_sim.make ~service_rate:c
-            ~buffer:(buffer_seconds *. c) ()
-        in
-        Lrd_fluidsim.Queue_sim.loss_rate
-          (Lrd_fluidsim.Queue_sim.run_trace sim shuffled))
-      ()
-  in
   {
     Table.title;
     xlabel = "cutoff_s";
     ylabel = "buffer_s";
     zlabel = "simulated loss rate";
-    xs = cutoffs;
-    ys = buffers;
+    xs = Sweep.cutoffs ~quick ();
+    ys = Sweep.buffers ~quick ();
     cells;
   }
 
-let compute ctx =
-  surface ctx ~trace:(Data.mtv ctx) ~utilization:Data.mtv_utilization ~title
+let surface ctx ~trace ~utilization ~title =
+  let quick = Data.quick ctx in
+  table ctx ~title
+    (Sweep.shuffled_losses ?pool:(Data.pool ctx) ~seed:(Data.seed ctx) trace
+       ~utilization ~buffers:(Sweep.buffers ~quick ())
+       ~cutoffs:(Sweep.cutoffs ~quick ()))
 
+let compute ctx = table ctx ~title (Data.mtv_shuffled_losses ctx)
 let run ctx fmt = Table.print_surface fmt (compute ctx)

@@ -10,7 +10,11 @@ val surface :
   utilization:float ->
   title:string ->
   Table.surface
-(** Shared shuffle-simulation sweep, also used by {!Fig08} and {!Fig14}. *)
+(** Shared shuffle-simulation sweep ({!Sweep.shuffled_losses}), also
+    used by {!Fig08}. *)
 
 val compute : Data.t -> Table.surface
+(** The MTV surface, read from {!Data.mtv_shuffled_losses}: {!Fig14}
+    and {!Ext_horizon} read the same one. *)
+
 val run : Data.t -> Format.formatter -> unit

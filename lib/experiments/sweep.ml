@@ -380,22 +380,6 @@ let manifest_fields ~quick () =
     ("stream_counts", ints (stream_counts ~quick ()));
   ]
 
-let shuffled_loss rng trace ~utilization ~buffer_seconds ~block =
-  let shuffled =
-    match block with
-    | None -> trace
-    | Some b -> Lrd_trace.Shuffle.external_shuffle rng trace ~block:b
-  in
-  let c =
-    Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
-  in
-  let sim =
-    Lrd_fluidsim.Queue_sim.make ~service_rate:c
-      ~buffer:(buffer_seconds *. c) ()
-  in
-  Lrd_fluidsim.Queue_sim.loss_rate
-    (Lrd_fluidsim.Queue_sim.run_trace sim shuffled)
-
 let shuffle_blocks_of_cutoffs trace cutoffs =
   let slot = trace.Lrd_trace.Trace.slot in
   Array.map
@@ -403,3 +387,33 @@ let shuffle_blocks_of_cutoffs trace cutoffs =
       if tc = Float.infinity then (tc, None)
       else (tc, Some (max 1 (int_of_float (Float.round (tc /. slot))))))
     cutoffs
+
+let shuffled_losses ?pool ~seed trace ~utilization ~buffers ~cutoffs =
+  let c = Lrd_trace.Trace.service_rate_for_utilization trace ~utilization in
+  let buffers = Array.map (fun b -> b *. c) buffers in
+  let rng = Lrd_rng.Rng.create ~seed:(Int64.add seed 7L) in
+  (* One shuffle per cutoff, reused across every buffer size: each
+     column is one pass over its shuffled trace with a lane per buffer,
+     exactly as a single shuffled trace would be in the paper's
+     simulations.  Column [i] shuffles with its own stream split off by
+     index, so the surface is the same sequentially and on the pool. *)
+  let columns =
+    map ?pool
+      (fun (i, (_, block)) ->
+        let shuffled =
+          match block with
+          | None -> trace
+          | Some b ->
+              Lrd_trace.Shuffle.external_shuffle
+                (Lrd_rng.Rng.split_indexed rng ~index:i)
+                trace ~block:b
+        in
+        Array.map Lrd_fluidsim.Queue_sim.loss_rate
+          (Lrd_fluidsim.Queue_sim.run_trace
+             (Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers)
+             shuffled))
+      (Array.mapi (fun i block -> (i, block))
+         (shuffle_blocks_of_cutoffs trace cutoffs))
+  in
+  Array.init (Array.length buffers) (fun row ->
+      Array.map (fun column -> column.(row)) columns)

@@ -151,20 +151,24 @@ val manifest_fields : quick:bool -> unit -> (string * Lrd_obs.Json.t) list
     [buffers_seconds], [cutoffs_seconds] (infinity as the string
     ["inf"]), [hursts], [scalings], [stream_counts]. *)
 
-val shuffled_loss :
-  Lrd_rng.Rng.t ->
-  Lrd_trace.Trace.t ->
-  utilization:float ->
-  buffer_seconds:float ->
-  block:int option ->
-  float
-(** Trace-driven loss rate: externally shuffles the trace with the given
-    block size ([None] leaves it unshuffled), feeds it to the exact fluid
-    queue with [c = mean / utilization] and [B = buffer_seconds * c],
-    and returns the measured loss rate. *)
-
 val shuffle_blocks_of_cutoffs :
   Lrd_trace.Trace.t -> float array -> (float * int option) array
 (** Maps each cutoff lag to the shuffle block size [T_c / slot]
     (infinity maps to [None], i.e. the unshuffled trace); cutoffs below
     one slot are clamped to a single-sample block. *)
+
+val shuffled_losses :
+  ?pool:Lrd_parallel.Pool.t ->
+  seed:int64 ->
+  Lrd_trace.Trace.t ->
+  utilization:float ->
+  buffers:float array ->
+  cutoffs:float array ->
+  float array array
+(** The shuffled-trace loss surface of Figs. 7, 8 and 14:
+    [cells.(row).(col)] is the loss rate of the exact fluid queue with
+    [c = mean / utilization] and [B = buffers.(row) * c] (buffers in
+    seconds) fed the trace externally shuffled with the block of
+    [cutoffs.(col)] ({!shuffle_blocks_of_cutoffs}).  Each column is one
+    shuffle, drawn from the stream [seed + 7] split by column index, and
+    one {!Lrd_fluidsim.Queue_sim} pass with a lane per buffer. *)

@@ -42,7 +42,7 @@ let run ~service_rate ~high_buffer ~low_buffer ~high ~low =
   done;
   let arrived = Lrd_numerics.Summation.total arrived in
   let lost = Lrd_numerics.Summation.total lost in
-  ( Queue_sim.stats high_state,
+  ( (Queue_sim.stats high_state).(0),
     {
       arrived;
       lost;

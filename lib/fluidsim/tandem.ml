@@ -26,7 +26,7 @@ let run_epochs ~stages epochs =
         pipeline rest departures
   in
   pipeline states epochs;
-  List.map Queue_sim.stats states
+  List.map (fun s -> (Queue_sim.stats s).(0)) states
 
 let run_trace ~stages trace =
   let slot = trace.Lrd_trace.Trace.slot in

@@ -299,15 +299,16 @@ let test_ams_matches_time_weighted_simulation () =
   let sys = ams_system () in
   let service_rate = 1.9 in
   let rng = rng () in
-  let epochs = Ams.sample_epochs sys rng ~n:1_000_000 in
+  let rates, durations = Ams.sample_epochs sys rng ~n:1_000_000 in
   let sim =
     Lrd_fluidsim.Queue_sim.make ~service_rate ~buffer:1e9 ()
   in
   let levels = [| 0.5; 1.0; 2.0 |] in
   let above = Array.make 3 0.0 in
   let total = ref 0.0 in
-  Array.iter
-    (fun (rate, duration) ->
+  Array.iteri
+    (fun e rate ->
+      let duration = durations.(e) in
       let initial = Lrd_fluidsim.Queue_sim.occupancy sim in
       ignore (Lrd_fluidsim.Queue_sim.offer sim ~rate ~duration);
       total := !total +. duration;
@@ -318,7 +319,7 @@ let test_ams_matches_time_weighted_simulation () =
             +. Lrd_fluidsim.Queue_sim.epoch_time_above ~service_rate ~initial
                  ~rate ~duration ~level)
         levels)
-    epochs;
+    rates;
   Array.iteri
     (fun i level ->
       check_close ~eps:0.05
@@ -379,35 +380,37 @@ let test_ams_finite_loss_matches_simulation () =
   List.iter
     (fun buffer ->
       let exact = Ams.finite_buffer_loss sys ~buffer in
-      let path = Ams.sample_epochs sys rng ~n:1_000_000 in
-      let sim = Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer () in
-      let stats =
-        Lrd_fluidsim.Queue_sim.run_epochs sim (Array.to_seq path)
+      let rates, durations = Ams.sample_epochs sys rng ~n:1_000_000 in
+      let sim =
+        Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer |]
       in
+      let stats = Lrd_fluidsim.Queue_sim.run sim ~rates ~durations in
       check_close ~eps:0.05
         (Printf.sprintf "B=%g" buffer)
-        (Lrd_fluidsim.Queue_sim.loss_rate stats)
+        (Lrd_fluidsim.Queue_sim.loss_rate stats.(0))
         exact)
     [ 0.5; 2.0 ]
 
 let test_ams_sample_epochs_statistics () =
   let sys = ams_system () in
   let rng = rng () in
-  let epochs = Ams.sample_epochs sys rng ~n:200_000 in
+  let rates, durations = Ams.sample_epochs sys rng ~n:200_000 in
+  Alcotest.(check int) "one duration per rate" (Array.length rates)
+    (Array.length durations);
   (* Time-weighted mean rate equals the stationary mean. *)
   let work = ref 0.0 and time = ref 0.0 in
-  Array.iter
-    (fun (rate, duration) ->
-      work := !work +. (rate *. duration);
-      time := !time +. duration)
-    epochs;
+  Array.iteri
+    (fun i rate ->
+      work := !work +. (rate *. durations.(i));
+      time := !time +. durations.(i))
+    rates;
   check_close ~eps:0.03 "mean rate" (Ams.mean_rate sys) (!work /. !time);
   (* Rates live on the lattice {0, 1, 2, 3, 4}. *)
   Array.iter
-    (fun (rate, _) ->
+    (fun rate ->
       if Float.rem rate 1.0 <> 0.0 || rate < 0.0 || rate > 4.0 then
         Alcotest.failf "rate off lattice: %g" rate)
-    epochs
+    rates
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)

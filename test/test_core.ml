@@ -277,9 +277,10 @@ let test_solver_matches_simulation_exponential () =
   let r = Solver.solve m ~service_rate:c ~buffer in
   let rng = Lrd_rng.Rng.create ~seed:42L in
   let epochs = Model.sample_epochs m rng ~n:2_000_000 in
-  let sim = Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer () in
+  let sim = Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer |] in
   let stats =
-    Lrd_fluidsim.Queue_sim.run_epochs sim (Array.to_seq epochs)
+    (Lrd_fluidsim.Queue_sim.run sim ~rates:(Array.map fst epochs)
+       ~durations:(Array.map snd epochs)).(0)
   in
   check_close ~eps:0.02 "solver vs simulation"
     (Lrd_fluidsim.Queue_sim.loss_rate stats)
@@ -291,8 +292,11 @@ let test_solver_matches_simulation_truncated_pareto () =
   let r = Solver.solve m ~service_rate:c ~buffer in
   let rng = Lrd_rng.Rng.create ~seed:43L in
   let epochs = Model.sample_epochs m rng ~n:2_000_000 in
-  let sim = Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer () in
-  let stats = Lrd_fluidsim.Queue_sim.run_epochs sim (Array.to_seq epochs) in
+  let sim = Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer |] in
+  let stats =
+    (Lrd_fluidsim.Queue_sim.run sim ~rates:(Array.map fst epochs)
+       ~durations:(Array.map snd epochs)).(0)
+  in
   check_close ~eps:0.05 "solver vs simulation"
     (Lrd_fluidsim.Queue_sim.loss_rate stats)
     r.Solver.loss

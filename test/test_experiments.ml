@@ -325,6 +325,18 @@ let test_fig7_simulation_flattens_in_cutoff () =
     (largest_finite > unshuffled /. 3.0
     && largest_finite < unshuffled *. 3.0)
 
+let test_fig7_surface_computed_once () =
+  (* Figs. 7 and 14 read one surface, held by the context; it equals a
+     fresh computation of the same sweep. *)
+  let ctx = Lazy.force ctx in
+  let cells = (Fig07.compute ctx).Table.cells in
+  Alcotest.(check bool) "shared" true (cells == (Fig07.compute ctx).Table.cells);
+  let fresh =
+    Fig07.surface ctx ~trace:(Data.mtv ctx)
+      ~utilization:Data.mtv_utilization ~title:Fig07.title
+  in
+  Alcotest.(check bool) "same cells" true (cells = fresh.Table.cells)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep helpers *)
 
@@ -715,6 +727,8 @@ let () =
             test_fig11_superposition_reduces_loss;
           Alcotest.test_case "fig12: scaling beats buffering" `Slow
             test_fig12_scaling_beats_buffering;
+          Alcotest.test_case "fig7: surface computed once" `Slow
+            test_fig7_surface_computed_once;
           Alcotest.test_case "fig7: simulation flattens" `Slow
             test_fig7_simulation_flattens_in_cutoff;
           Alcotest.test_case "fig5: Bellcore shapes" `Slow

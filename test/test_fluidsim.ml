@@ -57,12 +57,14 @@ let test_make_rejects_bad_input () =
 
 let run_random_epochs ~buffer ~service_rate ~n =
   let rng = Lrd_rng.Rng.create ~seed:55L in
-  let s = Queue_sim.make ~service_rate ~buffer () in
-  let epochs =
-    Seq.init n (fun _ ->
-        (Lrd_rng.Rng.float rng *. 3.0, Lrd_rng.Rng.float rng *. 0.7))
+  let s = Queue_sim.create ~service_rate ~buffers:[| buffer |] in
+  let durations = Array.make n 0.0 in
+  let rates =
+    Array.init n (fun i ->
+        durations.(i) <- Lrd_rng.Rng.float rng *. 0.7;
+        Lrd_rng.Rng.float rng *. 3.0)
   in
-  Queue_sim.run_epochs s epochs
+  (Queue_sim.run s ~rates ~durations).(0)
 
 let test_work_conservation () =
   let stats = run_random_epochs ~buffer:2.0 ~service_rate:1.2 ~n:10_000 in
@@ -95,36 +97,34 @@ let test_max_occupancy_monotone_bound () =
 let test_loss_rate_and_utilization () =
   let s = Queue_sim.make ~service_rate:1.0 ~buffer:1.0 () in
   ignore (Queue_sim.offer s ~rate:2.0 ~duration:2.0);
-  (* Fills after 1 s, loses 1; arrived 4, lost 1. *)
-  let stats = Queue_sim.run_epochs s Seq.empty in
-  check_close "loss rate" 0.25 (Queue_sim.loss_rate stats)
+  (* Fills after 1 s, loses 1; arrived 4, lost 1.  An empty pass
+     continues the same accounting. *)
+  let stats = Queue_sim.run s ~rates:[||] ~durations:[||] in
+  check_close "loss rate" 0.25 (Queue_sim.loss_rate stats.(0))
 
 let test_on_off_deterministic_cycle () =
   (* Periodic on/off: rate 2 for 1 s, rate 0 for 1 s, c = 1, B = 0.4.
      Each ON: fills 0.4 in 0.4 s then overflows 0.6; each OFF drains.
      Steady-state loss = 0.6 / 2 = 0.3 per cycle. *)
-  let s = Queue_sim.make ~service_rate:1.0 ~buffer:0.4 () in
-  let epochs =
-    Seq.concat_map
-      (fun _ -> List.to_seq [ (2.0, 1.0); (0.0, 1.0) ])
-      (Seq.init 1000 (fun i -> i))
+  let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.4 |] in
+  let stats =
+    Queue_sim.run s
+      ~rates:(Array.init 2000 (fun i -> if i mod 2 = 0 then 2.0 else 0.0))
+      ~durations:(Array.make 2000 1.0)
   in
-  let stats = Queue_sim.run_epochs s epochs in
-  check_close ~eps:1e-6 "periodic loss" 0.3 (Queue_sim.loss_rate stats)
+  check_close ~eps:1e-6 "periodic loss" 0.3 (Queue_sim.loss_rate stats.(0))
 
 (* ------------------------------------------------------------------ *)
 (* Trace-driven runs *)
 
-let test_run_trace_equals_run_epochs () =
+let test_run_trace_equals_run () =
   let rng = Lrd_rng.Rng.create ~seed:77L in
   let rates = Array.init 500 (fun _ -> Lrd_rng.Rng.float rng *. 2.0) in
   let trace = Lrd_trace.Trace.create ~rates ~slot:0.25 in
-  let a = Queue_sim.make ~service_rate:1.0 ~buffer:1.0 () in
-  let sa = Queue_sim.run_trace a trace in
-  let b = Queue_sim.make ~service_rate:1.0 ~buffer:1.0 () in
-  let sb =
-    Queue_sim.run_epochs b (Array.to_seq rates |> Seq.map (fun r -> (r, 0.25)))
-  in
+  let a = Queue_sim.create ~service_rate:1.0 ~buffers:[| 1.0 |] in
+  let sa = (Queue_sim.run_trace a trace).(0) in
+  let b = Queue_sim.create ~service_rate:1.0 ~buffers:[| 1.0 |] in
+  let sb = (Queue_sim.run b ~rates ~durations:(Array.make 500 0.25)).(0) in
   check_close "same lost" sa.Queue_sim.lost sb.Queue_sim.lost;
   check_close "same arrived" sa.Queue_sim.arrived sb.Queue_sim.arrived
 
@@ -132,8 +132,9 @@ let test_losses_per_slot_totals () =
   let rng = Lrd_rng.Rng.create ~seed:88L in
   let rates = Array.init 300 (fun _ -> Lrd_rng.Rng.float rng *. 3.0) in
   let trace = Lrd_trace.Trace.create ~rates ~slot:0.1 in
-  let s = Queue_sim.make ~service_rate:1.0 ~buffer:0.5 () in
+  let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.5 |] in
   let losses, stats = Queue_sim.losses_per_slot s trace in
+  let losses = losses.(0) and stats = stats.(0) in
   Alcotest.(check int) "one entry per slot" 300 (Array.length losses);
   check_close ~eps:1e-9 "losses sum to total"
     stats.Queue_sim.lost
@@ -143,8 +144,9 @@ let test_occupancy_per_slot () =
   let rng = Lrd_rng.Rng.create ~seed:101L in
   let rates = Array.init 500 (fun _ -> Lrd_rng.Rng.float rng *. 3.0) in
   let trace = Lrd_trace.Trace.create ~rates ~slot:0.1 in
-  let s = Queue_sim.make ~service_rate:1.0 ~buffer:0.75 () in
+  let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.75 |] in
   let occupancies, stats = Queue_sim.occupancy_per_slot s trace in
+  let occupancies = occupancies.(0) and stats = stats.(0) in
   Alcotest.(check int) "one per slot" 500 (Array.length occupancies);
   Array.iter
     (fun q ->
@@ -153,25 +155,263 @@ let test_occupancy_per_slot () =
   check_close "final matches" stats.Queue_sim.final_occupancy
     occupancies.(499);
   (* Same totals as a plain run. *)
-  let s2 = Queue_sim.make ~service_rate:1.0 ~buffer:0.75 () in
-  let reference = Queue_sim.run_trace s2 trace in
+  let s2 = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.75 |] in
+  let reference = (Queue_sim.run_trace s2 trace).(0) in
   check_close "same lost" reference.Queue_sim.lost stats.Queue_sim.lost
 
 let test_loss_monotone_in_buffer () =
   let rng = Lrd_rng.Rng.create ~seed:99L in
   let rates = Array.init 20_000 (fun _ -> Lrd_rng.Rng.float rng *. 2.4) in
   let trace = Lrd_trace.Trace.create ~rates ~slot:0.05 in
-  let loss b =
-    let s = Queue_sim.make ~service_rate:1.0 ~buffer:b () in
-    Queue_sim.loss_rate (Queue_sim.run_trace s trace)
+  let buffers = [| 0.0; 0.25; 0.5; 1.0; 2.0; 4.0 |] in
+  let stats =
+    Queue_sim.run_trace (Queue_sim.create ~service_rate:1.0 ~buffers) trace
   in
-  let prev = ref (loss 0.0) in
+  for k = 1 to Array.length buffers - 1 do
+    if Queue_sim.loss_rate stats.(k) > Queue_sim.loss_rate stats.(k - 1) +. 1e-12
+    then Alcotest.failf "loss grew at B=%g" buffers.(k)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Multi-lane passes *)
+
+let epoch_arrays epochs =
+  (Array.of_list (List.map fst epochs), Array.of_list (List.map snd epochs))
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_stats (a : Queue_sim.stats) (b : Queue_sim.stats) =
+  same_bits a.arrived b.arrived && same_bits a.lost b.lost
+  && same_bits a.served b.served
+  && same_bits a.final_occupancy b.final_occupancy
+  && same_bits a.max_occupancy b.max_occupancy
+  && same_bits a.busy_time b.busy_time
+  && same_bits a.duration b.duration
+
+(* The per-epoch arithmetic the lane kernel replaced, on library Neumaier
+   accumulators: the oracle that pins the kernel's results bitwise. *)
+let reference_stats ~service_rate:c ~buffer:b ~rates ~durations =
+  let module S = Lrd_numerics.Summation in
+  let arrived = S.create () and lost = S.create () in
+  let busy = S.create () and time = S.create () in
+  let q = ref 0.0 and max_q = ref 0.0 in
+  Array.iteri
+    (fun i rate ->
+      let duration = durations.(i) in
+      let slope = rate -. c in
+      S.add arrived (rate *. duration);
+      S.add time duration;
+      let l =
+        if slope > 0.0 then begin
+          let head = (b -. !q) /. slope in
+          S.add busy duration;
+          if head >= duration then begin
+            q := !q +. (slope *. duration);
+            0.0
+          end
+          else begin
+            q := b;
+            slope *. (duration -. head)
+          end
+        end
+        else begin
+          let drain_time = if slope < 0.0 then !q /. -.slope else infinity in
+          let full = Float.min duration drain_time in
+          S.add busy (full +. ((duration -. full) *. rate /. c));
+          q := Float.max 0.0 (!q +. (slope *. duration));
+          0.0
+        end
+      in
+      if !q > !max_q then max_q := !q;
+      S.add lost l)
+    rates;
+  let arrived = S.total arrived and lost = S.total lost in
+  {
+    Queue_sim.arrived;
+    lost;
+    served = arrived -. lost -. !q;
+    final_occupancy = !q;
+    max_occupancy = !max_q;
+    busy_time = S.total busy;
+    duration = S.total time;
+  }
+
+(* Service rate, buffers (always including a zero buffer) and epochs
+   whose rates hit the service rate exactly (and zero) often. *)
+let lanes_gen =
+  QCheck.Gen.(
+    float_range 0.1 5.0 >>= fun c ->
+    let rate =
+      frequency
+        [ (2, return c); (1, return 0.0); (5, float_range 0.0 (3.0 *. c)) ]
+    in
+    triple (return c)
+      (map (fun bs -> Array.of_list (0.0 :: bs))
+         (list_size (int_range 0 5) (float_range 0.0 3.0)))
+      (pair rate
+         (list_size (int_range 1 200)
+            (pair rate
+               (frequency [ (1, return 0.0); (6, float_range 0.0 1.0) ])))))
+
+(* The one-lane, one-epoch path: what a step-by-step caller sees. *)
+let offer_loop ~service_rate ~buffer ~rates ~durations =
+  let s = Queue_sim.make ~service_rate ~buffer () in
+  let per_epoch =
+    Array.mapi
+      (fun i rate ->
+        let lost = Queue_sim.offer s ~rate ~duration:durations.(i) in
+        (lost, Queue_sim.occupancy s))
+      rates
+  in
+  (per_epoch, (Queue_sim.stats s).(0))
+
+let prop_pass_matches_offer_loops =
+  QCheck.Test.make
+    ~name:"k-buffer pass = k one-lane offer loops (bitwise)" ~count:200
+    (QCheck.make lanes_gen)
+    (fun (c, buffers, (_, epochs)) ->
+      let rates, durations = epoch_arrays epochs in
+      let pass =
+        Queue_sim.run (Queue_sim.create ~service_rate:c ~buffers) ~rates
+          ~durations
+      in
+      Array.for_all2
+        (fun buffer lane ->
+          let _, stepped =
+            offer_loop ~service_rate:c ~buffer ~rates ~durations
+          in
+          same_stats lane stepped
+          && same_stats lane
+               (reference_stats ~service_rate:c ~buffer ~rates ~durations))
+        buffers pass)
+
+let prop_per_slot_matches_offer_loops =
+  QCheck.Test.make
+    ~name:"per-slot losses and occupancies = offer loops (bitwise)"
+    ~count:200 (QCheck.make lanes_gen)
+    (fun (c, buffers, (slot_seed, epochs)) ->
+      let rates = Array.of_list (List.map fst epochs) in
+      let slot = 0.001 +. Float.rem slot_seed 1.0 in
+      let trace = Lrd_trace.Trace.create ~rates ~slot in
+      let durations = Array.make (Array.length rates) slot in
+      let losses, loss_stats =
+        Queue_sim.losses_per_slot (Queue_sim.create ~service_rate:c ~buffers)
+          trace
+      in
+      let occupancies, occupancy_stats =
+        Queue_sim.occupancy_per_slot
+          (Queue_sim.create ~service_rate:c ~buffers)
+          trace
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun k buffer ->
+          let per_epoch, stepped =
+            offer_loop ~service_rate:c ~buffer ~rates ~durations
+          in
+          Array.iteri
+            (fun i (lost, q) ->
+              if
+                not
+                  (same_bits losses.(k).(i) lost
+                  && same_bits occupancies.(k).(i) q)
+              then ok := false)
+            per_epoch;
+          if
+            not
+              (same_stats loss_stats.(k) stepped
+              && same_stats occupancy_stats.(k) stepped)
+          then ok := false)
+        buffers;
+      !ok)
+
+let test_pass_allocation_flat () =
+  (* Native code: a bulk pass allocates only its per-pass results, the
+     same few words for 1k slots as for 100k. *)
+  let rng = Lrd_rng.Rng.create ~seed:303L in
+  let trace n =
+    Lrd_trace.Trace.create
+      ~rates:(Array.init n (fun _ -> Lrd_rng.Rng.float rng *. 2.0))
+      ~slot:0.01
+  in
+  let buffers = [| 0.0; 0.01; 0.05; 0.1; 0.5; 1.0; 2.0 |] in
+  let measure pass =
+    let s = Queue_sim.create ~service_rate:0.9 ~buffers in
+    let w0 = Gc.minor_words () in
+    pass s;
+    Gc.minor_words () -. w0
+  in
+  let short = trace 1_000 and long = trace 100_000 in
+  let run_trace t s = ignore (Queue_sim.run_trace s t) in
+  let run t =
+    let rates = t.Lrd_trace.Trace.rates in
+    let durations = Array.make (Array.length rates) t.Lrd_trace.Trace.slot in
+    fun s -> ignore (Queue_sim.run s ~rates ~durations)
+  in
   List.iter
-    (fun b ->
-      let l = loss b in
-      if l > !prev +. 1e-12 then Alcotest.failf "loss grew at B=%g" b;
-      prev := l)
-    [ 0.25; 0.5; 1.0; 2.0; 4.0 ]
+    (fun (name, pass) ->
+      ignore (measure (pass short));
+      let a = measure (pass short) and b = measure (pass long) in
+      match Sys.backend_type with
+      | Sys.Native ->
+          if b > a || b > 200.0 then
+            Alcotest.failf "%s: %.0f minor words for 1k slots, %.0f for 100k"
+              name a b
+      | Sys.Bytecode | Sys.Other _ -> ())
+    [ ("run_trace", run_trace); ("run", run) ]
+
+let test_pass_rejects_bad_input () =
+  let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 1.0; 2.0 |] in
+  Alcotest.check_raises "lengths"
+    (Invalid_argument "Queue_sim.run: rates and durations differ in length")
+    (fun () -> ignore (Queue_sim.run s ~rates:[| 1.0 |] ~durations:[||]));
+  Alcotest.check_raises "negative rate"
+    (Invalid_argument "Queue_sim.run: rates must be finite and nonnegative")
+    (fun () ->
+      ignore (Queue_sim.run s ~rates:[| 1.0; -1.0 |] ~durations:[| 1.0; 1.0 |]));
+  Alcotest.check_raises "nan duration"
+    (Invalid_argument "Queue_sim.run: durations must be finite and nonnegative")
+    (fun () -> ignore (Queue_sim.run s ~rates:[| 1.0 |] ~durations:[| nan |]));
+  (* Validation runs before any lane moves. *)
+  Alcotest.(check (float 0.0)) "untouched" 0.0 (Queue_sim.stats s).(0).arrived;
+  Alcotest.check_raises "offer needs one lane"
+    (Invalid_argument "Queue_sim.offer: needs a one-lane state") (fun () ->
+      ignore (Queue_sim.offer s ~rate:1.0 ~duration:1.0));
+  Alcotest.check_raises "negative buffer"
+    (Invalid_argument "Queue_sim.create: buffer must be nonnegative")
+    (fun () ->
+      ignore (Queue_sim.create ~service_rate:1.0 ~buffers:[| 1.0; -1.0 |]))
+
+let test_pass_telemetry () =
+  (* One fluidsim/run span and one lanes x epochs counter update per
+     bulk pass; step-by-step offers record neither. *)
+  let module Obs = Lrd_obs.Obs in
+  Obs.reset ();
+  Obs.Trace.reset ();
+  Obs.set_enabled true;
+  Obs.Trace.set_enabled true;
+  let epochs = Obs.Counter.make "fluidsim/epochs" in
+  let trace = Lrd_trace.Trace.create ~rates:(Array.make 50 1.5) ~slot:0.1 in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.Trace.set_enabled false)
+    (fun () ->
+      ignore
+        (Queue_sim.run_trace
+           (Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.1; 0.2; 0.3 |])
+           trace);
+      ignore
+        (Queue_sim.offer (Queue_sim.make ~service_rate:1.0 ~buffer:1.0 ())
+           ~rate:2.0 ~duration:1.0));
+  Alcotest.(check int) "lanes x epochs" 150 (Obs.Counter.value epochs);
+  let spans =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        e.name = "fluidsim/run" && e.phase = Obs.Trace.Begin)
+      (Obs.Trace.events ())
+  in
+  Alcotest.(check int) "one span" 1 (List.length spans)
 
 (* ------------------------------------------------------------------ *)
 (* Departure process and tandems *)
@@ -207,7 +447,7 @@ let test_output_work_equals_served () =
     let _, segments = Queue_sim.offer_with_output s ~rate ~duration in
     List.iter (fun (r, d) -> out := !out +. (r *. d)) segments
   done;
-  let stats = Queue_sim.stats s in
+  let stats = (Queue_sim.stats s).(0) in
   check_close ~eps:1e-9 "output = served" stats.Queue_sim.served !out
 
 let test_tandem_single_stage_matches_plain_queue () =
@@ -219,8 +459,8 @@ let test_tandem_single_stage_matches_plain_queue () =
       ~stages:[ { Tandem.service_rate = 1.0; buffer = 0.5 } ]
       trace
   in
-  let s = Queue_sim.make ~service_rate:1.0 ~buffer:0.5 () in
-  let plain = Queue_sim.run_trace s trace in
+  let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.5 |] in
+  let plain = (Queue_sim.run_trace s trace).(0) in
   match tandem_stats with
   | [ only ] ->
       check_close "lost" plain.Queue_sim.lost only.Queue_sim.lost;
@@ -304,8 +544,8 @@ let test_priority_high_class_isolated () =
   let high_stats, _ =
     Priority.run ~service_rate:1.4 ~high_buffer:0.5 ~low_buffer:0.5 ~high ~low
   in
-  let solo = Queue_sim.make ~service_rate:1.4 ~buffer:0.5 () in
-  let solo_stats = Queue_sim.run_trace solo high in
+  let solo = Queue_sim.create ~service_rate:1.4 ~buffers:[| 0.5 |] in
+  let solo_stats = (Queue_sim.run_trace solo high).(0) in
   check_close "same loss" solo_stats.Queue_sim.lost high_stats.Queue_sim.lost;
   check_close "same arrived" solo_stats.Queue_sim.arrived
     high_stats.Queue_sim.arrived
@@ -320,8 +560,8 @@ let test_priority_zero_high_is_plain_queue () =
   let _, low_stats =
     Priority.run ~service_rate:1.4 ~high_buffer:0.1 ~low_buffer:0.6 ~high ~low
   in
-  let solo = Queue_sim.make ~service_rate:1.4 ~buffer:0.6 () in
-  let solo_stats = Queue_sim.run_trace solo low in
+  let solo = Queue_sim.create ~service_rate:1.4 ~buffers:[| 0.6 |] in
+  let solo_stats = (Queue_sim.run_trace solo low).(0) in
   check_close ~eps:1e-9 "same loss" solo_stats.Queue_sim.lost
     low_stats.Priority.lost;
   check_close ~eps:1e-9 "same arrived" solo_stats.Queue_sim.arrived
@@ -449,8 +689,9 @@ let prop_conservation =
            (list_size (int_range 1 200)
               (pair (float_range 0.0 4.0) (float_range 0.0 1.0)))))
     (fun (c, b, epochs) ->
-      let s = Queue_sim.make ~service_rate:c ~buffer:b () in
-      let stats = Queue_sim.run_epochs s (List.to_seq epochs) in
+      let s = Queue_sim.create ~service_rate:c ~buffers:[| b |] in
+      let rates, durations = epoch_arrays epochs in
+      let stats = (Queue_sim.run s ~rates ~durations).(0) in
       Float.abs
         (stats.Queue_sim.arrived
         -. (stats.Queue_sim.served +. stats.Queue_sim.lost
@@ -528,9 +769,9 @@ let prop_loss_zero_when_rate_below_service =
          list_size (int_range 1 100)
            (pair (float_range 0.0 0.99) (float_range 0.0 2.0))))
     (fun epochs ->
-      let s = Queue_sim.make ~service_rate:1.0 ~buffer:0.5 () in
-      let stats = Queue_sim.run_epochs s (List.to_seq epochs) in
-      stats.Queue_sim.lost = 0.0)
+      let s = Queue_sim.create ~service_rate:1.0 ~buffers:[| 0.5 |] in
+      let rates, durations = epoch_arrays epochs in
+      (Queue_sim.run s ~rates ~durations).(0).Queue_sim.lost = 0.0)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -565,14 +806,22 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "run_trace = run_epochs" `Quick
-            test_run_trace_equals_run_epochs;
+          Alcotest.test_case "run_trace = run on arrays" `Quick
+            test_run_trace_equals_run;
           Alcotest.test_case "per-slot losses sum" `Quick
             test_losses_per_slot_totals;
           Alcotest.test_case "per-slot occupancies" `Quick
             test_occupancy_per_slot;
           Alcotest.test_case "loss monotone in buffer" `Quick
             test_loss_monotone_in_buffer;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "allocation flat in trace length" `Quick
+            test_pass_allocation_flat;
+          Alcotest.test_case "rejects bad input" `Quick
+            test_pass_rejects_bad_input;
+          Alcotest.test_case "telemetry per pass" `Quick test_pass_telemetry;
         ] );
       ( "tandem",
         [
@@ -622,6 +871,8 @@ let () =
         qcheck
           [
             prop_conservation;
+            prop_pass_matches_offer_loops;
+            prop_per_slot_matches_offer_loops;
             prop_occupancy_in_range;
             prop_loss_zero_when_rate_below_service;
             prop_gps_accounting;

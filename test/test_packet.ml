@@ -222,9 +222,9 @@ let test_small_packets_approach_fluid () =
   let trace = random_trace () in
   let c = 1.25 and buffer = 1.0 in
   let fluid =
-    let sim = Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer () in
+    let sim = Lrd_fluidsim.Queue_sim.create ~service_rate:c ~buffers:[| buffer |] in
     Lrd_fluidsim.Queue_sim.loss_rate
-      (Lrd_fluidsim.Queue_sim.run_trace sim trace)
+      (Lrd_fluidsim.Queue_sim.run_trace sim trace).(0)
   in
   (* Deterministic pacing with tiny packets: the closest packet system
      to the fluid one. *)

@@ -205,6 +205,21 @@ let test_ext_packet_deterministic_across_pools () =
   Alcotest.(check string) "ext-packet at jobs=2" (table ~jobs:1)
     (table ~jobs:2)
 
+(* The shuffled-trace and fluid-queue experiments: fig8 shuffles its
+   columns on the pool, abl-markov runs one multi-buffer pass per trace
+   on it, and ext-ams runs its finite-buffer levels as lanes of one
+   pass.  Each prints the same at every pool size. *)
+let experiment_deterministic name run () =
+  let output ~jobs =
+    let ctx = Lrd_experiments.Data.create ~jobs ~quick:true () in
+    Fun.protect
+      ~finally:(fun () -> Lrd_experiments.Data.teardown ctx)
+      (fun () -> render (run ctx))
+  in
+  let sequential = output ~jobs:1 in
+  Alcotest.(check bool) "non-empty" true (String.length sequential > 0);
+  Alcotest.(check string) (name ^ " at jobs=2") sequential (output ~jobs:2)
+
 (* The spectral estimators run on each domain's cached Fft.Real plans:
    whichever domain runs an estimate, on a cold or a warm plan, its
    floats are bitwise those of a sequential run.  Each length appears
@@ -376,6 +391,13 @@ let () =
             test_fig7_deterministic_across_pools;
           Alcotest.test_case "ext-packet across pool sizes" `Slow
             test_ext_packet_deterministic_across_pools;
+          Alcotest.test_case "fig8 across pool sizes" `Slow
+            (experiment_deterministic "fig8" Lrd_experiments.Fig08.run);
+          Alcotest.test_case "abl-markov across pool sizes" `Slow
+            (experiment_deterministic "abl-markov"
+               Lrd_experiments.Abl_markov.run);
+          Alcotest.test_case "ext-ams across pool sizes" `Slow
+            (experiment_deterministic "ext-ams" Lrd_experiments.Ext_ams.run);
           Alcotest.test_case "estimators across domains" `Quick
             test_estimators_deterministic_across_domains;
         ] );
