@@ -317,6 +317,20 @@ let micro_tests ctx =
           ignore
             (Lrd_core.Solver.solve_detailed exp_model ~service_rate:1.25
                ~buffer:2.0));
+      mk "kernel/workload-grid-8k"
+        (* Workspace construction alone: the survival grid (eqs. 21-22)
+           and the overflow table (eq. 23) of the MTV-like Pareto model
+           at m = 8192, on a fresh workload each run so every point is
+           computed. *)
+        (let c =
+           Lrd_core.Model.service_rate_for_utilization mtv_model
+             ~utilization:Data.mtv_utilization
+         in
+         let buffer = 0.5 *. c in
+         fun () ->
+           let w = Lrd_core.Workload.create mtv_model ~service_rate:c in
+           ignore (Lrd_core.Workload.discretize w ~buffer ~bins:8192);
+           ignore (Lrd_core.Workload.overflow_table w ~buffer ~bins:8192));
       mk "kernel/rng-float-1m"
         (* The unboxed draw alone: a million uniforms into one unboxed
            accumulator cell. *)

@@ -62,6 +62,8 @@ let m_warm_restarts = Obs.Counter.make "solver/warm_restarts"
 let m_budget_exhausted = Obs.Counter.make "solver/budget_exhausted"
 let m_workspaces_fft = Obs.Counter.make "solver/workspaces_fft"
 let m_workspaces_direct = Obs.Counter.make "solver/workspaces_direct"
+let m_workspaces_seeded = Obs.Counter.make "solver/workspaces_seeded"
+let m_workspace_span = Obs.Span.make "solver/workspace_seconds"
 let m_gap_trajectory = Obs.Trajectory.make "solver/bound_gap_rel"
 let m_last_gap = Obs.Gauge.make "solver/last_bound_gap_rel"
 let m_solve_span = Obs.Span.make "solver/solve_seconds"
@@ -156,7 +158,7 @@ module Workspace = struct
     done;
     tail
 
-  let make ?(convolution = `Auto) workload ~buffer ~m =
+  let build ~convolution workload ~buffer ~m =
     let bins = Workload.discretize workload ~buffer ~bins:m in
     let use_fft =
       match convolution with
@@ -220,6 +222,16 @@ module Workspace = struct
       conv_lower = vec_make conv_len;
       conv_upper = vec_make conv_len;
     }
+
+  (* Construction (discretization, overflow table, convolution plans)
+     is timed and traced apart from iteration, on whichever domain
+     builds the level. *)
+  let make ?(convolution = `Auto) workload ~buffer ~m =
+    Obs.Span.time m_workspace_span (fun () ->
+        if Obs.Trace.enabled () then
+          Obs.Trace.with_span ~arg:m "solver/workspace" (fun () ->
+              build ~convolution workload ~buffer ~m)
+        else build ~convolution workload ~buffer ~m)
 
   (* Fold the convolution [u] back onto the grid in place (eqs. 19-20):
      mass below 0 collapses into the empty state, mass above B into the
@@ -466,6 +478,11 @@ module State = struct
            slices migrate between pool workers. *)
     trivial : (result * occupancy) option;
     mutable ws : Workspace.t option;  (* built lazily on first advance *)
+    mutable seed : Workspace.t option;
+        (* A finished neighbour's workspace recorded by [seed_from] and
+           read-only from then on: the first [ensure_ws] builds this
+           state's workspace at its resolution and starts both chains
+           from its pmfs, inside the state's first slice. *)
     mutable iterations : int;
     mutable refinements : int;
     mutable since_check : int;  (* chain steps since the last check *)
@@ -538,6 +555,7 @@ module State = struct
       trace_levels;
       trivial;
       ws = None;
+      seed = None;
       iterations = 0;
       refinements = 0;
       since_check = 0;
@@ -566,9 +584,9 @@ module State = struct
     match t.trivial with
     | Some (r, _) -> r.bins
     | None -> (
-        match t.ws with
-        | Some ws -> Workspace.bins ws
-        | None -> t.params.initial_bins)
+        match (t.ws, t.seed) with
+        | Some ws, _ | None, Some ws -> Workspace.bins ws
+        | None, None -> t.params.initial_bins)
 
   let bounds t =
     match t.trivial with
@@ -593,16 +611,34 @@ module State = struct
     match t.ws with
     | Some ws -> ws
     | None ->
+        let m = bins t in
         let ws =
           Workspace.make ~convolution:t.params.convolution t.workload
-            ~buffer:t.buffer ~m:t.params.initial_bins
+            ~buffer:t.buffer ~m
         in
+        (match t.seed with
+        | None -> ()
+        | Some src ->
+            Bigarray.Array1.blit src.Workspace.lower_q ws.Workspace.lower_q;
+            Bigarray.Array1.blit src.Workspace.upper_q ws.Workspace.upper_q;
+            t.seed <- None;
+            Obs.Counter.incr m_workspaces_seeded;
+            (* Evaluate the seeded pmfs under THIS cell's workload as
+               the "previous check": a genuine point of the new chain at
+               step zero.  If the seed is already near-stationary for
+               this cell, the first real check plateaus against it and
+               can settle after a single check period instead of two. *)
+            let lo0, hi0 = Workspace.losses ws ~norm:t.norm in
+            t.prev_lower <- lo0;
+            t.prev_upper <- hi0;
+            if Obs.Trace.enabled () then
+              Obs.Trace.instant ~arg:m "solver/seed");
         (* Trace granularity mirrors the metric granularity: one slice
            per resolution level plus refinement instants — never per
            check period, which would flood the ring on 200k-iteration
            solves. *)
         if t.trace_levels && Obs.Trace.enabled () then
-          Obs.Trace.begin_ ~arg:t.params.initial_bins "solver/level";
+          Obs.Trace.begin_ ~arg:m "solver/level";
         t.ws <- Some ws;
         ws
 
@@ -773,38 +809,22 @@ module State = struct
      step within [seed_buffer_rel_tolerance] — which is safe because
      the seed carries no bound semantics: the [check]-time plateau
      guard is what keeps the reported bounds certified despite the
-     foreign initial state.  Returns [false] (leaving the state
-     untouched, cold) whenever the grids are incompatible. *)
+     foreign initial state.  Only the source workspace is recorded
+     here; the seeded workspace is built by [ensure_ws] in the cell's
+     first slice, so a sweep builds it on a pool domain rather than on
+     the scheduling one.  Returns [false] (leaving the state untouched,
+     cold) whenever the grids are incompatible. *)
   let seed_from ~src t =
     match (src.trivial, t.trivial, src.ws) with
     | None, None, Some sws
       when (not t.finished)
-           && t.iterations = 0
+           && Option.is_none t.ws
            && Float.abs (t.buffer -. src.buffer)
               <= seed_buffer_rel_tolerance
                  *. Float.max (Float.abs t.buffer) (Float.abs src.buffer)
            && Workspace.bins sws <= t.params.max_bins ->
-        let m = Workspace.bins sws in
-        let ws =
-          match t.ws with
-          | Some w when Workspace.bins w = m -> w
-          | _ ->
-              Workspace.make ~convolution:t.params.convolution t.workload
-                ~buffer:t.buffer ~m
-        in
-        Bigarray.Array1.blit sws.Workspace.lower_q ws.Workspace.lower_q;
-        Bigarray.Array1.blit sws.Workspace.upper_q ws.Workspace.upper_q;
-        t.ws <- Some ws;
+        t.seed <- Some sws;
         t.warm_started <- true;
-        (* Evaluate the seeded pmfs under THIS cell's workload as the
-           "previous check": a genuine point of the new chain at step
-           zero.  If the seed is already near-stationary for this cell,
-           the first real check plateaus against it and can settle
-           after a single check period instead of two. *)
-        let lo0, hi0 = Workspace.losses ws ~norm:t.norm in
-        t.prev_lower <- lo0;
-        t.prev_upper <- hi0;
-        if Obs.Trace.enabled () then Obs.Trace.instant ~arg:m "solver/seed";
         true
     | _ -> false
 

@@ -90,7 +90,10 @@ module Workspace : sig
   (** Builds the workspace for an [m]-bin grid with the chains at their
       initial states (floor chain empty, ceiling chain full).  [`Auto]
       picks FFT or direct convolution via
-      {!Lrd_numerics.Convolution.prefer_fft}. *)
+      {!Lrd_numerics.Convolution.prefer_fft}.  Each build is one
+      [solver/workspace] trace slice (arg = [m]) on the calling domain
+      and one sample of the [solver/workspace_seconds] span metric, so
+      construction shows apart from iteration. *)
 
   val bins : t -> int
   (** The grid resolution [m]. *)
@@ -218,7 +221,9 @@ module State : sig
   val refinements : t -> int
 
   val bins : t -> int
-  (** Current grid resolution. *)
+  (** Current grid resolution; for a state seeded by {!seed_from} and
+      not yet advanced, the resolution its workspace will be built at
+      (the source's). *)
 
   val bounds : t -> float * float
   (** [(lower, upper)] loss bounds at the latest check — [(nan, nan)]
@@ -241,8 +246,14 @@ module State : sig
       (nearly) coincide — buffers within a 25% relative tolerance, so a
       mean-preserving marginal scaling whose zero-clamp nudged the
       service rate still seeds — with [src]'s bins within [t]'s
-      [max_bins] and [t] fresh (zero iterations); returns [false] —
+      [max_bins] and [t] fresh (never advanced); returns [false] —
       leaving [t] cold — otherwise, or for trivial cells.
+
+      The call only records [src]'s workspace, which must not be
+      advanced again ([src] is finished, so it is not).  [t]'s own
+      workspace is built, the pmfs copied and the step-zero bounds
+      evaluated in [t]'s first {!advance} (or {!stop}) — on whichever
+      domain runs it — and counted in [solver/workspaces_seeded].
 
       Certification: the seed carries no bound semantics (it is just an
       initial distribution), and a warm-started chain may approach its

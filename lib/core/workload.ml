@@ -1,34 +1,34 @@
+(* A cached level of the batch builders behind {!discretize} and
+   {!overflow_table}: value tables on the grid of [m] bins for one
+   buffer, indexed so that point [k] of a coarser level [m / r] sits at
+   index [r k] (the step is an exact power-of-two scaling).  The finest
+   level computed so far answers any coarser level by striding and
+   seeds every [r]-th point of a refinement.  Tables are immutable once
+   installed. *)
+type level = {
+  buffer : float;
+  m : int;  (* 0 = empty *)
+  tables : float array array;
+}
+
+let empty_level = { buffer = nan; m = 0; tables = [||] }
+
 (* Memo state for the survival-function evaluations that dominate
    discretization cost.  Two layers: scalar hashtables keyed by the raw
-   evaluation points (for the point-wise API), and whole-grid caches for
-   the batch builders behind {!discretize} and {!overflow_table} — a
-   refinement level at [2 m] bins reuses every evaluation its [m]-bin
-   parent already made (the coarse grid is exactly every other point of
-   the fine one, and [buffer /. m] halves exactly in floating point), and
-   the batch layer reuses them without paying a mutex/hashtable round
-   trip per point.  A mutex guards the state because a cached workload
-   may be evaluated from several domains at once; evaluations are
-   construction-time only, never part of the solver's iteration hot
-   loop. *)
+   evaluation points (for the point-wise API), and whole-level caches
+   for the batch builders — a refinement level at [2 m] bins reuses
+   every evaluation its [m]-bin parent already made, without a
+   mutex/hashtable round trip per point.  A mutex guards the state
+   because a cached workload may be evaluated from several domains at
+   once; the batch builders only hold it to read or install a level,
+   never while computing one. *)
 type memo = {
   lock : Mutex.t;
   ge : (float, float) Hashtbl.t;
   gt : (float, float) Hashtbl.t;
   integral : (float, float) Hashtbl.t;
-  (* Whole-grid caches for the batch builders ({!discretize} and
-     {!overflow_table}).  A refinement level's grid contains its parent's
-     points bitwise (the step is an exact power-of-two scaling), so the
-     finest grid computed so far answers any coarser level by striding
-     and seeds half of the next doubling.  Batch reuse skips the
-     per-point mutex/hashtable round trip entirely, which is what
-     actually dominates a warm rebuild. *)
-  mutable grid_buffer : float;
-  mutable grid_m : int;  (* 0 = empty *)
-  mutable grid_ge : float array;  (* length 2 grid_m + 1 *)
-  mutable grid_gt : float array;
-  mutable ov_buffer : float;
-  mutable ov_m : int;  (* 0 = empty *)
-  mutable ov : float array;  (* length ov_m + 1 *)
+  mutable grid : level;  (* [| Pr{W >= x}; Pr{W > x} |], length 2 m + 1 *)
+  mutable ov : level;  (* [| overflow |], length m + 1 *)
 }
 
 type t = {
@@ -57,13 +57,8 @@ let create ?(memoize = false) model ~service_rate =
              ge = Hashtbl.create 512;
              gt = Hashtbl.create 512;
              integral = Hashtbl.create 512;
-             grid_buffer = nan;
-             grid_m = 0;
-             grid_ge = [||];
-             grid_gt = [||];
-             ov_buffer = nan;
-             ov_m = 0;
-             ov = [||];
+             grid = empty_level;
+             ov = empty_level;
            }
        else None);
   }
@@ -127,115 +122,179 @@ let survival_gt t x =
   | None -> survival ~weak:false t x
   | Some m -> memo_find m.lock m.gt x (survival ~weak:false t)
 
-(* One fused pass computing Pr{W >= x} and Pr{W > x} together.  The rate
-   loop, the division by delta and the per-side accumulators mirror
-   {!survival} term for term, so each side of the result is bitwise
-   identical to the corresponding single-sided call — the batch grid
-   builder depends on that identity (and [test_parallel] asserts it). *)
-let survival_both t x =
-  let acc_ge = Lrd_numerics.Summation.create ()
-  and acc_gt = Lrd_numerics.Summation.create () in
-  let s_gt = t.law.Lrd_dist.Interarrival.survival_gt
-  and s_ge = t.law.Lrd_dist.Interarrival.survival_ge in
-  Array.iteri
-    (fun i p ->
-      let delta = t.rates.(i) -. t.service_rate in
-      let term_ge, term_gt =
-        if delta > 0.0 then
-          let q = x /. delta in
-          (s_ge q, s_gt q)
-        else if delta < 0.0 then
-          let q = x /. delta in
-          (1.0 -. s_gt q, 1.0 -. s_ge q)
-        else
-          ( (if x <= 0.0 then 1.0 else 0.0),
-            if x < 0.0 then 1.0 else 0.0 )
-      in
-      Lrd_numerics.Summation.add acc_ge (p *. term_ge);
-      Lrd_numerics.Summation.add acc_gt (p *. term_gt))
-    t.probs;
-  ( Float.max 0.0 (Float.min 1.0 (Lrd_numerics.Summation.total acc_ge)),
-    Float.max 0.0 (Float.min 1.0 (Lrd_numerics.Summation.total acc_gt)) )
-
 let m_grid_fresh = Lrd_obs.Obs.Counter.make "workload_grid/points_fresh"
 let m_grid_reused = Lrd_obs.Obs.Counter.make "workload_grid/points_reused"
 let is_pow2 r = r > 0 && r land (r - 1) = 0
 
-(* Survival grids [Pr{W >= i d}], [Pr{W > i d}] for [i = -m .. m] with
-   [d = buffer / m], the construction-time bulk of {!discretize}.  The
-   memo keeps the finest grid computed for the current buffer: because
-   the step scales by exact powers of two across refinement levels, a
-   coarser grid is a bitwise stride of a finer one and a doubling reuses
-   every cached point, so a refinement chain pays for each point once —
-   without the per-point mutex/hashtable round trip of the scalar memo,
-   which is what actually dominates a warm rebuild.  Returned arrays are
-   cache-owned when a memo is attached; callers only read them. *)
-let survival_grid t ~buffer ~m =
-  let d = buffer /. float_of_int m in
-  let len = (2 * m) + 1 in
-  let compute ge gt k =
-    let sge, sgt = survival_both t (float_of_int (k - m) *. d) in
-    ge.(k) <- sge;
-    gt.(k) <- sgt
+(* A level that refines a cached one by [r] computes only the points
+   off every [r]-th index (all of them when [r = 1]); [fresh_index] is
+   the grid index of the [i]-th. *)
+let fresh_count ~len ~r = if r = 1 then len else len - ((len - 1) / r) - 1
+
+let[@inline] fresh_index ~r i =
+  if r = 1 then i else ((i / (r - 1)) * r) + (i mod (r - 1)) + 1
+
+(* The rate-major builders take their fresh points in chunks of this
+   size, so each rate's batch call and accumulation sweep cache-resident
+   scratch rather than whole-level arrays. *)
+let chunk = 512
+
+(* Runs [pass size] over the fresh points [0, n) chunk by chunk: [pass]
+   allocates its scratch for one chunk size and returns the function
+   that processes the chunk starting at a given point. *)
+let in_chunks n pass =
+  let full = n / chunk and tail = n mod chunk in
+  if full > 0 then begin
+    let run = pass chunk in
+    for b = 0 to full - 1 do
+      run (b * chunk)
+    done
+  end;
+  if tail > 0 then pass tail (full * chunk)
+
+(* The level cache shared by the survival grid and the overflow table.
+   [get]/[set] select the level in the memo; [pass ~r tables] computes
+   fresh points of [count] tables of length [len] whose every [r]-th
+   point is already set, chunk by chunk (see {!in_chunks}).  The lock
+   is held only to snapshot the cached level and to install a new one:
+   the fresh points are computed outside it, so cells of one sweep
+   column, which share one workload, build their levels side by side.
+   Two domains racing on the same level may both compute it; the values
+   are identical and the last install wins.  Returned tables may be
+   cache-owned: callers only read them. *)
+let level_tables t ~get ~set ~buffer ~m ~count ~len ~pass =
+  let snapshot =
+    match t.memo with
+    | None -> empty_level
+    | Some memo ->
+        Mutex.lock memo.lock;
+        let level = get memo in
+        Mutex.unlock memo.lock;
+        level
   in
-  let build_fresh () =
-    let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
-    for k = 0 to len - 1 do
-      compute ge gt k
+  let cm = snapshot.m in
+  let same_buffer = cm > 0 && snapshot.buffer = buffer in
+  if same_buffer && cm = m then (
+    Lrd_obs.Obs.Counter.add m_grid_reused len;
+    snapshot.tables)
+  else if same_buffer && cm mod m = 0 && is_pow2 (cm / m) then (
+    (* The cached finer level contains this one as a stride. *)
+    let r = cm / m in
+    Lrd_obs.Obs.Counter.add m_grid_reused len;
+    Array.map
+      (fun tab ->
+        let a = Array.make len 0.0 in
+        for k = 0 to len - 1 do
+          a.(k) <- tab.(r * k)
+        done;
+        a)
+      snapshot.tables)
+  else begin
+    (* Refining a cached coarser level: its points land on every [r]-th
+       index bitwise, and only the others are fresh. *)
+    let r =
+      if same_buffer && m mod cm = 0 && is_pow2 (m / cm) then m / cm else 1
+    in
+    let tables = Array.init count (fun _ -> Array.make len 0.0) in
+    if r > 1 then
+      Array.iteri
+        (fun tab coarse ->
+          for k = 0 to Array.length coarse - 1 do
+            tables.(tab).(r * k) <- coarse.(k)
+          done)
+        snapshot.tables;
+    let fresh = fresh_count ~len ~r in
+    in_chunks fresh (pass ~r tables);
+    match t.memo with
+    | None -> tables
+    | Some memo ->
+        Lrd_obs.Obs.Counter.add m_grid_fresh fresh;
+        Lrd_obs.Obs.Counter.add m_grid_reused (len - fresh);
+        Mutex.lock memo.lock;
+        set memo { buffer; m; tables };
+        Mutex.unlock memo.lock;
+        tables
+  end
+
+(* One step of [Summation.add] on slot [k] of unboxed sum and
+   compensation arrays: the per-point accumulators of the rate-major
+   builders, with no boxed float per term. *)
+let[@inline] neumaier_add sums comps k x =
+  let s = sums.(k) in
+  let t' = s +. x in
+  if Float.abs s >= Float.abs x then comps.(k) <- comps.(k) +. (s -. t' +. x)
+  else comps.(k) <- comps.(k) +. (x -. t' +. s);
+  sums.(k) <- t'
+
+(* One chunk size's pass over fresh points of the survival grid of
+   {!survival_grid}: [Pr{W >= x}] and [Pr{W > x}] at [x = (k - m) d],
+   rate-major — one batch law call per rate, then a Neumaier step per
+   point into unboxed accumulators.  Rates are visited in the order of
+   {!survival} and each point receives the same terms, so every value
+   is bitwise the scalar [survival_ge] / [survival_gt] one. *)
+let survival_pass t ~m ~d ~r ~ge ~gt size =
+  let x = Array.make size 0.0 and q = Array.make size 0.0 in
+  let law_ge = Array.make size 0.0 and law_gt = Array.make size 0.0 in
+  let sum_ge = Array.make size 0.0 and comp_ge = Array.make size 0.0 in
+  let sum_gt = Array.make size 0.0 and comp_gt = Array.make size 0.0 in
+  fun first ->
+    for j = 0 to size - 1 do
+      x.(j) <- float_of_int (fresh_index ~r (first + j) - m) *. d;
+      sum_ge.(j) <- 0.0;
+      comp_ge.(j) <- 0.0;
+      sum_gt.(j) <- 0.0;
+      comp_gt.(j) <- 0.0
     done;
-    (ge, gt)
+    for i = 0 to Array.length t.probs - 1 do
+      let p = t.probs.(i) in
+      let delta = t.rates.(i) -. t.service_rate in
+      if delta > 0.0 || delta < 0.0 then begin
+        for j = 0 to size - 1 do
+          q.(j) <- x.(j) /. delta
+        done;
+        t.law.Lrd_dist.Interarrival.survival_pair q ~ge:law_ge ~gt:law_gt
+      end;
+      if delta > 0.0 then
+        for j = 0 to size - 1 do
+          neumaier_add sum_ge comp_ge j (p *. law_ge.(j));
+          neumaier_add sum_gt comp_gt j (p *. law_gt.(j))
+        done
+      else if delta < 0.0 then
+        (* W = T delta <= 0: Pr{W >= x} = Pr{T <= x / delta}. *)
+        for j = 0 to size - 1 do
+          neumaier_add sum_ge comp_ge j (p *. (1.0 -. law_gt.(j)));
+          neumaier_add sum_gt comp_gt j (p *. (1.0 -. law_ge.(j)))
+        done
+      else
+        for j = 0 to size - 1 do
+          let x = x.(j) in
+          neumaier_add sum_ge comp_ge j (p *. if x <= 0.0 then 1.0 else 0.0);
+          neumaier_add sum_gt comp_gt j (p *. if x < 0.0 then 1.0 else 0.0)
+        done
+    done;
+    for j = 0 to size - 1 do
+      let k = fresh_index ~r (first + j) in
+      ge.(k) <- Float.max 0.0 (Float.min 1.0 (sum_ge.(j) +. comp_ge.(j)));
+      gt.(k) <- Float.max 0.0 (Float.min 1.0 (sum_gt.(j) +. comp_gt.(j)))
+    done
+
+(* Survival grids [Pr{W >= i d}], [Pr{W > i d}] for [i = -m .. m] with
+   [d = buffer / m], the construction-time bulk of {!discretize}, through
+   the level cache: a refinement chain pays for each point once. *)
+let survival_grid t ~buffer ~m =
+  let d = buffer /. float_of_int m and len = (2 * m) + 1 in
+  let tables =
+    level_tables t
+      ~get:(fun memo -> memo.grid)
+      ~set:(fun memo level -> memo.grid <- level)
+      ~buffer ~m ~count:2 ~len
+      ~pass:(fun ~r tables ->
+        survival_pass t ~m ~d ~r ~ge:tables.(0) ~gt:tables.(1))
   in
-  match t.memo with
-  | None -> build_fresh ()
-  | Some memo ->
-      Mutex.lock memo.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo.lock)
-        (fun () ->
-          let gm = memo.grid_m in
-          let same_buffer = gm > 0 && memo.grid_buffer = buffer in
-          if same_buffer && gm = m then (
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            (memo.grid_ge, memo.grid_gt))
-          else if same_buffer && gm mod m = 0 && is_pow2 (gm / m) then (
-            (* The cached finer grid contains this level as a stride. *)
-            let r = gm / m in
-            let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
-            for i = -m to m do
-              ge.(i + m) <- memo.grid_ge.((r * i) + gm);
-              gt.(i + m) <- memo.grid_gt.((r * i) + gm)
-            done;
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            (ge, gt))
-          else
-            let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
-            let fresh = ref len in
-            (if same_buffer && m mod gm = 0 && is_pow2 (m / gm) then (
-               (* Doubling (or further refining): cached coarse points
-                  land on every [r]-th index of this grid bitwise. *)
-               let r = m / gm in
-               for i = -gm to gm do
-                 ge.((r * i) + m) <- memo.grid_ge.(i + gm);
-                 gt.((r * i) + m) <- memo.grid_gt.(i + gm)
-               done;
-               fresh := len - ((2 * gm) + 1);
-               for k = 0 to len - 1 do
-                 if k mod r <> 0 then compute ge gt k
-               done)
-             else
-               for k = 0 to len - 1 do
-                 compute ge gt k
-               done);
-            Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
-            Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
-            memo.grid_buffer <- buffer;
-            memo.grid_m <- m;
-            memo.grid_ge <- ge;
-            memo.grid_gt <- gt;
-            (ge, gt))
+  (tables.(0), tables.(1))
 
 (* The interarrival law's integrated survival function, memoized like the
-   survival functions (it is the inner loop of the overflow table). *)
+   survival functions (the inner loop of {!expected_overflow}). *)
 let law_integral t x =
   match t.memo with
   | None -> t.law.Lrd_dist.Interarrival.survival_integral x
@@ -271,71 +330,57 @@ let expected_overflow t ~buffer ~occupancy =
     t.probs;
   Lrd_numerics.Summation.total acc
 
-(* {!expected_overflow} without the argument checks and with the
-   occupancy clamp folded in: the exact per-point computation the solver
-   has always run for its overflow table, calling the law's integrated
-   survival directly instead of through the scalar memo. *)
-let overflow_point t ~buffer ~step j =
-  let occupancy = Float.min buffer (float_of_int j *. step) in
-  let headroom = Float.max 0.0 (buffer -. occupancy) in
-  let integral = t.law.Lrd_dist.Interarrival.survival_integral in
-  let acc = Lrd_numerics.Summation.create () in
-  Array.iteri
-    (fun i p ->
+(* One chunk size's pass over fresh points of {!overflow_table}:
+   {!expected_overflow} at the occupancies [min buffer (j step)],
+   rate-major like {!survival_pass} — one batch integrated-survival call
+   per rate above the service rate, the scalar terms in the scalar
+   order, so every value is bitwise the scalar one. *)
+let overflow_pass t ~buffer ~step ~r ~table size =
+  let headroom = Array.make size 0.0 and q = Array.make size 0.0 in
+  let integral = Array.make size 0.0 in
+  let sum = Array.make size 0.0 and comp = Array.make size 0.0 in
+  fun first ->
+    for j = 0 to size - 1 do
+      let point = float_of_int (fresh_index ~r (first + j)) *. step in
+      let occupancy = Float.min buffer point in
+      headroom.(j) <- Float.max 0.0 (buffer -. occupancy);
+      sum.(j) <- 0.0;
+      comp.(j) <- 0.0
+    done;
+    for i = 0 to Array.length t.probs - 1 do
+      let p = t.probs.(i) in
       let delta = t.rates.(i) -. t.service_rate in
-      if delta > 0.0 then
-        Lrd_numerics.Summation.add acc
-          (p *. delta *. integral (headroom /. delta)))
-    t.probs;
-  Lrd_numerics.Summation.total acc
+      if delta > 0.0 then begin
+        (* E[(T delta - h)^+] = delta int_{h/delta}^inf Pr{T>t} dt. *)
+        for j = 0 to size - 1 do
+          q.(j) <- headroom.(j) /. delta
+        done;
+        t.law.Lrd_dist.Interarrival.survival_integrals q ~dst:integral;
+        let weight = p *. delta in
+        for j = 0 to size - 1 do
+          neumaier_add sum comp j (weight *. integral.(j))
+        done
+      end
+    done;
+    for j = 0 to size - 1 do
+      table.(fresh_index ~r (first + j)) <- sum.(j) +. comp.(j)
+    done
 
 let overflow_table t ~buffer ~bins =
   if not (buffer > 0.0) then
     invalid_arg "Workload.overflow_table: buffer must be positive";
   if bins <= 0 then
     invalid_arg "Workload.overflow_table: bins must be positive";
-  let m = bins in
-  let step = buffer /. float_of_int m in
-  let len = m + 1 in
-  let build_fresh () = Array.init len (overflow_point t ~buffer ~step) in
-  match t.memo with
-  | None -> build_fresh ()
-  | Some memo ->
-      Mutex.lock memo.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo.lock)
-        (fun () ->
-          let om = memo.ov_m in
-          let same_buffer = om > 0 && memo.ov_buffer = buffer in
-          if same_buffer && om = m then (
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            Array.copy memo.ov)
-          else if same_buffer && om mod m = 0 && is_pow2 (om / m) then (
-            let r = om / m in
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            Array.init len (fun j -> memo.ov.(r * j)))
-          else
-            let a = Array.make len 0.0 in
-            let fresh = ref len in
-            (if same_buffer && m mod om = 0 && is_pow2 (m / om) then (
-               let r = m / om in
-               for j = 0 to om do
-                 a.(r * j) <- memo.ov.(j)
-               done;
-               fresh := len - (om + 1);
-               for j = 0 to m do
-                 if j mod r <> 0 then a.(j) <- overflow_point t ~buffer ~step j
-               done)
-             else
-               for j = 0 to m do
-                 a.(j) <- overflow_point t ~buffer ~step j
-               done);
-            Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
-            Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
-            memo.ov_buffer <- buffer;
-            memo.ov_m <- m;
-            memo.ov <- a;
-            Array.copy a)
+  let step = buffer /. float_of_int bins and len = bins + 1 in
+  let tables =
+    level_tables t
+      ~get:(fun memo -> memo.ov)
+      ~set:(fun memo level -> memo.ov <- level)
+      ~buffer ~m:bins ~count:1 ~len
+      ~pass:(fun ~r tables ->
+        overflow_pass t ~buffer ~step ~r ~table:tables.(0))
+  in
+  Array.copy tables.(0)
 
 let loss_rate_of_occupancy t ~buffer ~occupancy_probs =
   let n = Array.length occupancy_probs in
@@ -394,11 +439,10 @@ let discretize t ~buffer ~bins =
        else gt.(k - 1) -. gt.(k))
   done;
   (* Guard against rounding producing tiny negatives. *)
-  let clamp a =
-    Array.iteri (fun k v -> if v < 0.0 then a.(k) <- 0.0) a
-  in
-  clamp lower;
-  clamp upper;
+  for k = 0 to 2 * m do
+    if lower.(k) < 0.0 then lower.(k) <- 0.0;
+    if upper.(k) < 0.0 then upper.(k) <- 0.0
+  done;
   { lower; upper; half_width = m; step = d }
 
 (* ------------------------------------------------------------------ *)

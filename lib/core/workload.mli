@@ -26,9 +26,13 @@ val create : ?memoize:bool -> Model.t -> service_rate:float -> t
     new refinement level at roughly half cost — and the batch builders
     reuse the parent level wholesale, skipping per-point lookups;
     sharing one memoizing workload across the cells of a sweep (see
-    [Cache]) extends the reuse across cells.  Memoization never changes
-    any computed value — only whether it is recomputed — and is safe to
-    use from several domains at once.
+    [Cache]) extends the reuse across cells.  The batch builders hold
+    the lock only to read the cached level and to install a new one:
+    fresh points are computed outside it, so several domains build
+    levels of one shared workload side by side (two racing on the same
+    level may both compute it).  Memoization never changes any computed
+    value — only whether it is recomputed — and is safe to use from
+    several domains at once.
     @raise Invalid_argument unless the service rate is positive. *)
 
 val mean : t -> float
@@ -56,12 +60,17 @@ val overflow_table : t -> buffer:float -> bins:int -> float array
 (** The solver's overflow table in one batch: entry [j] of the returned
     [bins + 1]-length array is
     [expected_overflow ~buffer ~occupancy:(min buffer (j *. d))] for
-    [d = buffer / bins], bitwise.  On a memoizing workload the finest
-    table computed for the buffer is cached, so each doubling of a
-    refinement chain only evaluates the new odd points and coarser
-    levels are answered by striding — without the per-point lock/lookup
-    cost of the scalar path.  The returned array is fresh; mutating it
-    never corrupts the cache.
+    [d = buffer / bins], bitwise.  The table is built rate-major: one
+    batch [survival_integrals] call of the interarrival law per rate
+    above the service rate, then a Neumaier step per point into unboxed
+    accumulators, with the terms in the scalar path's order — no boxed
+    float per rate and point.  The survival grid behind {!discretize} is
+    built the same way from [survival_pair].  On a memoizing workload
+    the finest table computed for the buffer is cached, so each
+    doubling of a refinement chain only evaluates the new odd points and
+    coarser levels are answered by striding; the points are computed
+    outside the memo lock and installed under it.  The returned array
+    is fresh; mutating it never corrupts the cache.
     @raise Invalid_argument unless buffer and bins are positive. *)
 
 val loss_rate_of_occupancy :

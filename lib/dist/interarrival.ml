@@ -5,9 +5,25 @@ type t = {
   survival_gt : float -> float;
   survival_ge : float -> float;
   survival_integral : float -> float;
+  survival_pair : float array -> ge:float array -> gt:float array -> unit;
+  survival_integrals : float array -> dst:float array -> unit;
   max_support : float option;
   sample : Lrd_rng.Rng.t -> float;
 }
+
+(* The batch forms of a law with no faster route: its scalar functions,
+   point by point. *)
+let pointwise_pair survival_ge survival_gt q ~ge ~gt =
+  for k = 0 to Array.length q - 1 do
+    let x = q.(k) in
+    ge.(k) <- survival_ge x;
+    gt.(k) <- survival_gt x
+  done
+
+let pointwise_integrals survival_integral q ~dst =
+  for k = 0 to Array.length q - 1 do
+    dst.(k) <- survival_integral q.(k)
+  done
 
 let mean_given_cutoff ~theta ~alpha ~cutoff =
   if cutoff = Float.infinity then theta /. (alpha -. 1.0)
@@ -53,6 +69,49 @@ let truncated_pareto ~theta ~alpha ~cutoff =
     else tail_integral a
   in
   let mean = tail_integral 0.0 in
+  (* The batch forms repeat the scalar expressions term for term, so
+     every value is bitwise the scalar one, but with the ccdf written
+     inline: a call to a local closure would box its float result, and
+     where both sides agree (inside the support) one [pow] serves both. *)
+  let survival_pair q ~ge ~gt =
+    for k = 0 to Array.length q - 1 do
+      let t = q.(k) in
+      if t <= 0.0 then begin
+        ge.(k) <- 1.0;
+        gt.(k) <-
+          (if t < 0.0 then 1.0 else ((t +. theta) /. theta) ** -.alpha)
+      end
+      else if t >= cutoff then begin
+        ge.(k) <-
+          (if t > cutoff then 0.0 else ((t +. theta) /. theta) ** -.alpha);
+        gt.(k) <- 0.0
+      end
+      else begin
+        (* Also the NaN case, where both scalar sides reach the ccdf. *)
+        let s = ((t +. theta) /. theta) ** -.alpha in
+        ge.(k) <- s;
+        gt.(k) <- s
+      end
+    done
+  in
+  let scale = theta /. (alpha -. 1.0) in
+  let upper =
+    if infinite then 0.0 else ((cutoff +. theta) /. theta) ** (1.0 -. alpha)
+  in
+  let survival_integrals q ~dst =
+    for k = 0 to Array.length q - 1 do
+      let a = q.(k) in
+      dst.(k) <-
+        (if a <= 0.0 then
+           (* [mean] is [tail_integral 0.0]; the scalar clamp of [-.a]
+              only turns [-0.0] into [0.0], which [mean > 0] absorbs. *)
+           mean -. a
+         else if a >= cutoff then 0.0
+         else if alpha = 1.0 then
+           theta *. log ((cutoff +. theta) /. (a +. theta))
+         else scale *. ((((a +. theta) /. theta) ** (1.0 -. alpha)) -. upper))
+    done
+  in
   (* E[T^2] = 2 int_0^cutoff t ccdf(t) dt, finite atoms included. *)
   let second_moment =
     if infinite then
@@ -94,6 +153,8 @@ let truncated_pareto ~theta ~alpha ~cutoff =
     survival_gt;
     survival_ge;
     survival_integral;
+    survival_pair;
+    survival_integrals;
     max_support = (if infinite then None else Some cutoff);
     sample;
   }
@@ -102,15 +163,18 @@ let exponential ~mean =
   if not (mean > 0.0) then
     invalid_arg "Interarrival.exponential: mean must be positive";
   let survival t = if t <= 0.0 then 1.0 else exp (-.t /. mean) in
+  let survival_integral a =
+    if a <= 0.0 then mean -. a else mean *. exp (-.a /. mean)
+  in
   {
     name = Printf.sprintf "exponential(mean=%g)" mean;
     mean;
     variance = mean *. mean;
     survival_gt = survival;
     survival_ge = survival;
-    survival_integral =
-      (fun a ->
-        if a <= 0.0 then mean -. a else mean *. exp (-.a /. mean));
+    survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = None;
     sample = (fun rng -> Lrd_rng.Sampler.exponential rng ~rate:(1.0 /. mean));
   }
@@ -118,14 +182,21 @@ let exponential ~mean =
 let deterministic ~value =
   if not (value > 0.0) then
     invalid_arg "Interarrival.deterministic: value must be positive";
+  let survival_gt t = if t < value then 1.0 else 0.0 in
+  let survival_ge t = if t <= value then 1.0 else 0.0 in
+  let survival_integral a =
+    Float.max 0.0 (value -. Float.max a 0.0)
+    +. Float.max 0.0 (-.Float.min a 0.0)
+  in
   {
     name = Printf.sprintf "deterministic(%g)" value;
     mean = value;
     variance = 0.0;
-    survival_gt = (fun t -> if t < value then 1.0 else 0.0);
-    survival_ge = (fun t -> if t <= value then 1.0 else 0.0);
-    survival_integral = (fun a -> Float.max 0.0 (value -. Float.max a 0.0)
-                                  +. Float.max 0.0 (-.Float.min a 0.0));
+    survival_gt;
+    survival_ge;
+    survival_integral;
+    survival_pair = pointwise_pair survival_ge survival_gt;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = Some value;
     sample = (fun _ -> value);
   }
@@ -149,6 +220,8 @@ let uniform ~lo ~hi =
     survival_gt = survival;
     survival_ge = survival;
     survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = Some hi;
     sample = (fun rng -> Lrd_rng.Sampler.uniform rng ~lo ~hi);
   }
@@ -172,6 +245,8 @@ let weibull ~shape ~scale =
     survival_gt = survival;
     survival_ge = survival;
     survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = None;
     sample =
       (fun rng ->
@@ -201,6 +276,8 @@ let gamma ~shape ~scale =
     survival_gt = survival;
     survival_ge = survival;
     survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = None;
     sample = (fun rng -> Lrd_rng.Sampler.gamma rng ~shape ~scale);
   }
@@ -231,6 +308,8 @@ let lognormal ~mu ~sigma =
     survival_gt = survival;
     survival_ge = survival;
     survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = None;
     sample = (fun rng -> Lrd_rng.Sampler.lognormal rng ~mu ~sigma);
   }
@@ -275,6 +354,8 @@ let hyperexponential ~weights ~means =
     survival_gt = survival;
     survival_ge = survival;
     survival_integral;
+    survival_pair = pointwise_pair survival survival;
+    survival_integrals = pointwise_integrals survival_integral;
     max_support = None;
     sample =
       (fun rng ->

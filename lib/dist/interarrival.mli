@@ -30,6 +30,19 @@ type t = {
   survival_ge : float -> float;  (** [Pr{T >= t}]; 1 for [t <= 0]. *)
   survival_integral : float -> float;
       (** [fun a -> int_a^inf Pr{T > t} dt]; equals [mean] at [a <= 0]. *)
+  survival_pair : float array -> ge:float array -> gt:float array -> unit;
+      (** Batch form of both survival functions: [survival_pair q ~ge ~gt]
+          sets [ge.(k)] to [survival_ge q.(k)] and [gt.(k)] to
+          [survival_gt q.(k)], bitwise, for every index of [q] ([ge] and
+          [gt] must be at least as long).  The truncated Pareto computes
+          its ccdf once per point where the two sides agree and
+          allocates nothing; the other laws loop over their scalar
+          functions.  Table builders make one call per rate instead of
+          two closure calls per rate and point. *)
+  survival_integrals : float array -> dst:float array -> unit;
+      (** Batch form of [survival_integral]: [dst.(k)] is
+          [survival_integral q.(k)], bitwise, for every index of [q].
+          Allocation-free for the truncated Pareto. *)
   max_support : float option;  (** Supremum of the support if finite. *)
   sample : Lrd_rng.Rng.t -> float;  (** Random variate. *)
 }

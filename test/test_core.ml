@@ -453,6 +453,32 @@ let test_workspace_step_does_not_allocate () =
       | Sys.Bytecode | Sys.Other _ -> ())
     [ `Fft; `Direct ]
 
+let test_workspace_tables_allocation_bound () =
+  (* Workspace construction is rate-major: one batch law call per rate
+     and unboxed per-point accumulators, so building the survival grid
+     (eqs. 21-22) and the overflow table (eq. 23) of a 50-rate marginal
+     at m = 4096 allocates a few minor words per grid point, not one
+     boxed float per rate and point.  Native code only. *)
+  let marginal =
+    Lrd_dist.Marginal.of_points
+      (List.init 50 (fun i ->
+           (0.1 *. float_of_int i, 1.0 +. float_of_int (i mod 7))))
+  in
+  let m = pareto_model ~marginal ~theta:0.05 ~alpha:1.4 ~cutoff:10.0 () in
+  let c = Model.service_rate_for_utilization m ~utilization:0.8 in
+  let buffer = 0.5 *. c and bins = 4096 in
+  let workload = Workload.create ~memoize:true m ~service_rate:c in
+  let w0 = Gc.minor_words () in
+  ignore (Workload.discretize workload ~buffer ~bins);
+  ignore (Workload.overflow_table workload ~buffer ~bins);
+  let per_point = (Gc.minor_words () -. w0) /. float_of_int ((2 * bins) + 1) in
+  match Sys.backend_type with
+  | Sys.Native ->
+      if per_point >= 16.0 then
+        Alcotest.failf "table construction allocated %.1f minor words per point"
+          per_point
+  | Sys.Bytecode | Sys.Other _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Resumable solver states *)
 
@@ -516,6 +542,53 @@ let test_state_seed_from_neighbour () =
   Alcotest.(check bool) "cold estimate inside warm interval" true
     (c.Solver.loss >= w.Solver.lower_bound -. slack
     && c.Solver.loss <= w.Solver.upper_bound +. slack);
+  (* The seeded workspace is built in the first advance, but the state
+     already reports the resolution it will be built at: the source's,
+     not its own (coarser) initial grid, which a seed replaces. *)
+  let seeded () =
+    let params = { Solver.default_params with Solver.initial_bins = 32 } in
+    let st =
+      Solver.State.create ~params (model 0.22) ~service_rate:1.25 ~buffer:2.0
+    in
+    Alcotest.(check bool)
+      "seeding accepted" true
+      (Solver.State.seed_from ~src st);
+    st
+  in
+  Alcotest.(check int) "source bins before the first advance"
+    (Solver.State.bins src) (Solver.State.bins (seeded ()));
+  (* Stopping a seeded state before any advance evaluates the seeded
+     pmfs: finite, ordered bounds. *)
+  let stopped = seeded () in
+  Solver.State.stop stopped;
+  let r = Solver.State.result stopped in
+  Alcotest.(check bool) "stop before advance: finite certified bounds" true
+    (Float.is_finite r.Solver.lower_bound
+    && Float.is_finite r.Solver.upper_bound
+    && r.Solver.lower_bound <= r.Solver.upper_bound);
+  Alcotest.(check int) "stop before advance: source bins"
+    (Solver.State.bins src) r.Solver.bins;
+  (* Slicing a seeded state is as exact as slicing a cold one. *)
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 20 do
+    let st = seeded () in
+    List.iter
+      (fun n -> Solver.State.advance st ~iterations:n)
+      (List.init (Random.State.int rng 10) (fun _ ->
+           Random.State.int rng 200));
+    Solver.State.run st;
+    let s = Solver.State.result st in
+    Alcotest.(check bool) "seeded slices = straight run, bitwise" true
+      (Int64.bits_of_float s.Solver.loss = Int64.bits_of_float w.Solver.loss
+      && Int64.bits_of_float s.Solver.lower_bound
+         = Int64.bits_of_float w.Solver.lower_bound
+      && Int64.bits_of_float s.Solver.upper_bound
+         = Int64.bits_of_float w.Solver.upper_bound
+      && s.Solver.iterations = w.Solver.iterations
+      && s.Solver.bins = w.Solver.bins
+      && s.Solver.refinements = w.Solver.refinements
+      && s.Solver.converged = w.Solver.converged)
+  done;
   (* A buffer mismatch means a different occupancy grid: seeding must
      fall back to a cold start rather than blit incompatible pmfs. *)
   let other = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:1.0 in
@@ -1267,6 +1340,8 @@ let () =
             test_solver_golden_matrix;
           Alcotest.test_case "workspace step allocates nothing" `Quick
             test_workspace_step_does_not_allocate;
+          Alcotest.test_case "workspace tables allocation bound" `Quick
+            test_workspace_tables_allocation_bound;
         ] );
       ( "state",
         [

@@ -440,6 +440,89 @@ let prop_tp_survival_monotone =
       done;
       !ok)
 
+(* The batch forms must be the scalar functions bitwise, for every
+   constructor.  Each law comes with its support edges (cutoff, atom,
+   interval ends), probed exactly and one ulp either side, plus
+   negative, signed-zero, tiny and huge points, NaN where the scalar
+   functions terminate on it, and random points. *)
+let law_gen =
+  QCheck.Gen.(
+    map
+      (fun (i, (u1, u2, u3)) ->
+        let cutoff = 0.1 +. (u3 *. 50.0) in
+        let theta = 0.01 +. u1 in
+        match i with
+        | 0 -> (tp ~theta ~alpha:(0.5 +. (2.5 *. u2)) ~cutoff, [ cutoff ], true)
+        | 1 -> (tp ~theta ~alpha:1.0 ~cutoff, [ cutoff ], true)
+        | 2 ->
+            ( tp ~theta ~alpha:(1.05 +. (2.0 *. u2)) ~cutoff:Float.infinity,
+              [ Float.infinity ],
+              true )
+        | 3 -> (Interarrival.exponential ~mean:(0.01 +. u1), [], true)
+        | 4 -> (Interarrival.deterministic ~value:cutoff, [ cutoff ], true)
+        | 5 ->
+            let lo = u1 *. 2.0 in
+            let hi = lo +. 0.1 +. u2 in
+            (Interarrival.uniform ~lo ~hi, [ lo; hi ], true)
+        | 6 ->
+            (* Its survival integral is an adaptive quadrature, which
+               never settles on NaN. *)
+            ( Interarrival.weibull ~shape:(0.3 +. u1) ~scale:(0.1 +. u2),
+              [],
+              false )
+        | 7 ->
+            ( Interarrival.gamma ~shape:(0.3 +. (3.0 *. u1)) ~scale:(0.1 +. u2),
+              [],
+              true )
+        | 8 ->
+            ( Interarrival.lognormal ~mu:(u1 -. 0.5) ~sigma:(0.2 +. u2),
+              [],
+              true )
+        | _ ->
+            ( Interarrival.hyperexponential ~weights:[| u1 +. 0.01; 1.0 |]
+                ~means:[| 0.05 +. u2; 1.0 +. (10.0 *. u3) |],
+              [],
+              true ))
+      (pair (int_range 0 9)
+         (triple (float_range 0.0 1.0) (float_range 0.0 1.0)
+            (float_range 0.0 1.0))))
+
+let prop_batch_forms_bitwise =
+  QCheck.Test.make ~name:"law batch forms equal the scalar functions bitwise"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ((law, _, _), xs) ->
+         Printf.sprintf "%s at %s" law.Interarrival.name
+           (String.concat ", " (List.map (Printf.sprintf "%h") xs)))
+       QCheck.Gen.(
+         pair law_gen (list_size (int_range 0 20) (float_range (-5.0) 60.0))))
+    (fun ((law, edges, probe_nan), random) ->
+      let near x = [ Float.pred x; x; Float.succ x ] in
+      let q =
+        Array.of_list
+          ([ -5.0; -1.0; -1e-300; -0.0; 0.0; 1e-300; 1e300 ]
+          @ (if probe_nan then [ Float.nan ] else [])
+          @ List.concat_map near edges
+          @ random)
+      in
+      let n = Array.length q in
+      let ge = Array.make n 0.0 and gt = Array.make n 0.0 in
+      let integral = Array.make n 0.0 in
+      law.Interarrival.survival_pair q ~ge ~gt;
+      law.Interarrival.survival_integrals q ~dst:integral;
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let ok = ref true in
+      Array.iteri
+        (fun k x ->
+          if
+            not
+              (same ge.(k) (law.Interarrival.survival_ge x)
+              && same gt.(k) (law.Interarrival.survival_gt x)
+              && same integral.(k) (law.Interarrival.survival_integral x))
+          then ok := false)
+        q;
+      !ok)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "dist"
@@ -528,6 +611,7 @@ let () =
       ( "properties",
         qcheck
           [
+            prop_batch_forms_bitwise;
             prop_scale_preserves_mean;
             prop_superpose_shrinks_variance;
             prop_quantile_inverts_cdf;

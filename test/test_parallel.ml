@@ -205,10 +205,12 @@ let test_ext_packet_deterministic_across_pools () =
   Alcotest.(check string) "ext-packet at jobs=2" (table ~jobs:1)
     (table ~jobs:2)
 
-(* The shuffled-trace and fluid-queue experiments: fig8 shuffles its
-   columns on the pool, abl-markov runs one multi-buffer pass per trace
-   on it, and ext-ams runs its finite-buffer levels as lanes of one
-   pass.  Each prints the same at every pool size. *)
+(* fig13 seeds the most cells from their neighbours, and each seeded
+   workspace is built in the cell's first slice on whichever domain
+   runs it.  The shuffled-trace and fluid-queue experiments: fig8
+   shuffles its columns on the pool, abl-markov runs one multi-buffer
+   pass per trace on it, and ext-ams runs its finite-buffer levels as
+   lanes of one pass.  Each prints the same at every pool size. *)
 let experiment_deterministic name run () =
   let output ~jobs =
     let ctx = Lrd_experiments.Data.create ~jobs ~quick:true () in
@@ -312,47 +314,89 @@ let test_memoized_workload_identical () =
   let model =
     Lrd_core.Model.of_hurst ~marginal ~hurst:0.85 ~theta:0.03 ~cutoff:2.0
   in
-  let plain = Lrd_core.Workload.create model ~service_rate:1.5 in
-  let memo = Lrd_core.Workload.create ~memoize:true model ~service_rate:1.5 in
-  List.iter
-    (fun bins ->
-      let a = Lrd_core.Workload.discretize plain ~buffer:0.7 ~bins in
-      let b = Lrd_core.Workload.discretize memo ~buffer:0.7 ~bins in
-      Alcotest.(check bool)
-        (Printf.sprintf "bins %d identical" bins)
-        true
-        (a.Lrd_core.Workload.lower = b.Lrd_core.Workload.lower
-        && a.Lrd_core.Workload.upper = b.Lrd_core.Workload.upper))
-    (* Doubling chain (refine reuse), a coarser revisit (stride reuse),
-       and a non-conforming level (fresh compute): every path of the
-       grid-level cache must stay bitwise equal to the plain workload. *)
-    [ 16; 32; 64; 16; 48 ];
-  List.iter
-    (fun bins ->
-      let a = Lrd_core.Workload.overflow_table plain ~buffer:0.7 ~bins in
-      let b = Lrd_core.Workload.overflow_table memo ~buffer:0.7 ~bins in
-      Alcotest.(check bool)
-        (Printf.sprintf "overflow_table %d identical" bins)
-        true (a = b);
-      (* And the batch table matches the scalar API entry for entry. *)
-      let step = 0.7 /. float_of_int bins in
-      Array.iteri
-        (fun j v ->
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "overflow_table %d entry %d" bins j)
-            (Lrd_core.Workload.expected_overflow plain ~buffer:0.7
-               ~occupancy:(Float.min 0.7 (float_of_int j *. step)))
-            v)
-        a)
-    [ 16; 32; 64; 16; 48 ];
-  let xs = [| 0.0; 0.1; 0.35; 0.7 |] in
-  Array.iter
-    (fun occupancy ->
-      Alcotest.(check (float 0.0))
-        "expected_overflow identical"
-        (Lrd_core.Workload.expected_overflow plain ~buffer:0.7 ~occupancy)
-        (Lrd_core.Workload.expected_overflow memo ~buffer:0.7 ~occupancy))
-    xs
+  let check_at model ~service_rate ~buffer =
+    let plain = Lrd_core.Workload.create model ~service_rate in
+    let memo = Lrd_core.Workload.create ~memoize:true model ~service_rate in
+    List.iter
+      (fun bins ->
+        let a = Lrd_core.Workload.discretize plain ~buffer ~bins in
+        let b = Lrd_core.Workload.discretize memo ~buffer ~bins in
+        Alcotest.(check bool)
+          (Printf.sprintf "bins %d identical" bins)
+          true
+          (a.Lrd_core.Workload.lower = b.Lrd_core.Workload.lower
+          && a.Lrd_core.Workload.upper = b.Lrd_core.Workload.upper);
+        (* And the batch grid is the scalar survival functions bitwise
+           (eqs. 21-22 from [survival_ge] / [survival_gt], clamped). *)
+        let d = buffer /. float_of_int bins in
+        let x k = float_of_int (k - bins) *. d in
+        let ge k = Lrd_core.Workload.survival_ge plain (x k)
+        and gt k = Lrd_core.Workload.survival_gt plain (x k) in
+        let clamp v = if v < 0.0 then 0.0 else v in
+        let bits = Array.map Int64.bits_of_float in
+        let lower =
+          Array.init ((2 * bins) + 1) (fun k ->
+              clamp
+                (if k = 0 then 1.0 -. ge (k + 1)
+                 else if k = 2 * bins then ge k
+                 else ge k -. ge (k + 1)))
+        and upper =
+          Array.init ((2 * bins) + 1) (fun k ->
+              clamp
+                (if k = 0 then 1.0 -. gt k
+                 else if k = 2 * bins then gt (k - 1)
+                 else gt (k - 1) -. gt k))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "bins %d equal the scalar survival" bins)
+          true
+          (bits a.Lrd_core.Workload.lower = bits lower
+          && bits a.Lrd_core.Workload.upper = bits upper))
+      (* Doubling chain (refine reuse), a coarser revisit (stride reuse),
+         and a non-conforming level (fresh compute): every path of the
+         grid-level cache must stay bitwise equal to the plain workload. *)
+      [ 16; 32; 64; 16; 48 ];
+    List.iter
+      (fun bins ->
+        let a = Lrd_core.Workload.overflow_table plain ~buffer ~bins in
+        let b = Lrd_core.Workload.overflow_table memo ~buffer ~bins in
+        Alcotest.(check bool)
+          (Printf.sprintf "overflow_table %d identical" bins)
+          true (a = b);
+        (* And the batch table matches the scalar API entry for entry. *)
+        let step = buffer /. float_of_int bins in
+        Array.iteri
+          (fun j v ->
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "overflow_table %d entry %d" bins j)
+              (Lrd_core.Workload.expected_overflow plain ~buffer
+                 ~occupancy:(Float.min buffer (float_of_int j *. step)))
+              v)
+          a)
+      [ 16; 32; 64; 16; 48 ];
+    let xs = [| 0.0; 0.1; 0.35; 0.7 |] in
+    Array.iter
+      (fun occupancy ->
+        Alcotest.(check (float 0.0))
+          "expected_overflow identical"
+          (Lrd_core.Workload.expected_overflow plain ~buffer ~occupancy)
+          (Lrd_core.Workload.expected_overflow memo ~buffer ~occupancy))
+      xs
+  in
+  (* At service rate 2.0 one rate sits exactly at the service rate (a
+     zero increment); at 1.5 the rates straddle it. *)
+  check_at model ~service_rate:1.5 ~buffer:0.7;
+  check_at model ~service_rate:2.0 ~buffer:0.7;
+  (* Rates 1 below and 0.5 above the service rate with a cutoff of 0.5
+     put the law's atom exactly on grid points of both signs (-0.5 and
+     0.25 at d = 1/16), where the strict and weak survival differ. *)
+  let atom_marginal =
+    Lrd_dist.Marginal.of_points [ (0.5, 0.4); (2.0, 0.3); (5.0, 0.3) ]
+  in
+  check_at
+    (Lrd_core.Model.cutoff_pareto ~marginal:atom_marginal ~theta:0.1
+       ~alpha:1.4 ~cutoff:0.5)
+    ~service_rate:1.5 ~buffer:1.0
 
 (* ------------------------------------------------------------------ *)
 
@@ -389,6 +433,8 @@ let () =
             test_fig4_deterministic_across_pools;
           Alcotest.test_case "fig7 across pool sizes" `Slow
             test_fig7_deterministic_across_pools;
+          Alcotest.test_case "fig13 across pool sizes" `Slow
+            (experiment_deterministic "fig13" Lrd_experiments.Fig13.run);
           Alcotest.test_case "ext-packet across pool sizes" `Slow
             test_ext_packet_deterministic_across_pools;
           Alcotest.test_case "fig8 across pool sizes" `Slow
